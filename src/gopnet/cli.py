@@ -28,7 +28,6 @@ from .errors import (
 )
 from .network import _atomic_write_text, load_model, save_model
 from .progression import (
-    PopReport,
     ProgressionConfig,
     Variant,
     run_pmlp_baseline,
@@ -121,44 +120,81 @@ def apply_overrides(cfg: dict, assignments) -> dict:
     return cfg
 
 
+def _read(cfg: dict, path: str, convert=None):
+    """The config value at dotted ``path``, passed through ``convert``; a
+    missing or unusable value is a ConfigError that names ``path``."""
+    value = cfg
+    try:
+        for key in path.split("."):
+            value = value[key]
+    except (KeyError, TypeError):
+        raise ConfigError(f"{path}: missing") from None
+    try:
+        return value if convert is None else convert(value)
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(f"{path}: invalid value {value!r}") from None
+
+
+def _int_list(flag: str, text: str) -> list:
+    try:
+        return [int(w) for w in text.split(",") if w.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"{flag}: expected comma-separated integers, "
+                          f"got {text!r}") from None
+
+
+def _split_fractions(cfg: dict) -> dict:
+    return {k: _read(cfg, f"split.{k}", float) for k in ("train", "val", "test")}
+
+
+def _pop_args(cfg: dict):
+    """(template, target_mse, epochs) of the pop/pmlp baselines."""
+    return (_read(cfg, "pop.template", lambda v: [int(w) for w in v]),
+            _read(cfg, "pop.target_mse", float),
+            _read(cfg, "pop.epochs", int))
+
+
 def validate_run_config(cfg: dict) -> None:
-    if cfg["variant"] not in VARIANTS:
+    variant = _read(cfg, "variant")
+    if variant not in VARIANTS:
         raise ConfigError(
-            f"unknown variant {cfg['variant']!r}; choose from {VARIANTS}")
-    path = cfg["dataset"]["path"]
+            f"unknown variant {variant!r}; choose from {VARIANTS}")
+    path = _read(cfg, "dataset.path")
     if not path:
         raise ConfigError("dataset.path is required")
     if not os.path.exists(path):
         raise ConfigError(f"dataset file not found: {path}")
-    fractions = {k: cfg["split"].get(k, 0.0) for k in ("train", "val", "test")}
+    fractions = _split_fractions(cfg)
     if abs(sum(fractions.values()) - 1.0) > 1e-9:
         raise ConfigError(
             f"split fractions must sum to 1, got {sum(fractions.values())}")
-    build_train_spec(cfg["train"], int(cfg["seed"]))
-    build_progression_config(cfg, int(cfg["seed"])).validate()
+    build_progression_config(cfg, _read(cfg, "seed", int)).validate()
+    if variant in ("pop", "pmlp"):
+        _pop_args(cfg)
 
 
-def build_train_spec(train_cfg: dict, seed: int) -> TrainSpec:
-    reg_cfg = train_cfg.get("weight_reg") or {"kind": "none"}
+def build_train_spec(cfg: dict, seed: int) -> TrainSpec:
+    reg_cfg = _read(cfg, "train.weight_reg", lambda v: dict(v or {"kind": "none"}))
     kind = reg_cfg.get("kind", "none")
     if kind == "max-norm":
-        reg = MaxNorm(float(reg_cfg["value"]))
+        reg = MaxNorm(_read(cfg, "train.weight_reg.value", float))
     elif kind == "decay":
-        reg = Decay(float(reg_cfg["value"]))
+        reg = Decay(_read(cfg, "train.weight_reg.value", float))
     elif kind == "none":
         reg = None
     else:
         raise ConfigError(f"unknown weight_reg kind {kind!r}")
+    loss_token = _read(cfg, "train.loss")
     try:
-        loss = LossKind(train_cfg.get("loss", "mse"))
+        loss = LossKind(loss_token)
     except ValueError:
-        raise ConfigError(f"unknown loss {train_cfg.get('loss')!r}") from None
+        raise ConfigError(f"unknown loss {loss_token!r}") from None
     spec = TrainSpec(
-        lr_schedule=tuple((float(lr), int(ep))
-                          for lr, ep in train_cfg["lr_schedule"]),
-        batch_size=int(train_cfg["batch_size"]),
-        dropout_hidden=float(train_cfg["dropout_hidden"]),
-        dropout_input=float(train_cfg["dropout_input"]),
+        lr_schedule=_read(cfg, "train.lr_schedule",
+                          lambda v: tuple((float(lr), int(ep)) for lr, ep in v)),
+        batch_size=_read(cfg, "train.batch_size", int),
+        dropout_hidden=_read(cfg, "train.dropout_hidden", float),
+        dropout_input=_read(cfg, "train.dropout_input", float),
         weight_reg=reg,
         loss=loss,
         seed=seed,
@@ -168,8 +204,7 @@ def build_train_spec(train_cfg: dict, seed: int) -> TrainSpec:
 
 
 def build_progression_config(cfg: dict, seed: int) -> ProgressionConfig:
-    p = cfg["progression"]
-    metric_token = p.get("rate_metric", "loss")
+    metric_token = _read(cfg, "progression.rate_metric")
     if metric_token == "loss":
         metric = Metric.MSE
     elif metric_token == "accuracy":
@@ -181,17 +216,17 @@ def build_progression_config(cfg: dict, seed: int) -> ProgressionConfig:
                if variant_token in {v.value for v in Variant}
                else Variant.HEMLGOP)
     return ProgressionConfig(
-        n_min=int(p["n_min"]),
-        n_i=int(p["n_i"]),
-        max_layer_width=int(p["max_layer_width"]),
-        eps_n=float(p["eps_n"]),
-        eps_l=float(p["eps_l"]),
+        n_min=_read(cfg, "progression.n_min", int),
+        n_i=_read(cfg, "progression.n_i", int),
+        max_layer_width=_read(cfg, "progression.max_layer_width", int),
+        eps_n=_read(cfg, "progression.eps_n", float),
+        eps_l=_read(cfg, "progression.eps_l", float),
         rate_metric=metric,
         variant=variant,
-        c_grid=tuple(float(c) for c in p["c_grid"]),
-        train_spec=build_train_spec(cfg["train"], seed),
+        c_grid=_read(cfg, "progression.c_grid", lambda v: tuple(float(c) for c in v)),
+        train_spec=build_train_spec(cfg, seed),
         seed=seed,
-        max_layers=int(p["max_layers"]),
+        max_layers=_read(cfg, "progression.max_layers", int),
     )
 
 
@@ -199,9 +234,7 @@ def prepare_dataset(cfg: dict, seed: int):
     d = cfg["dataset"]
     ds = load_csv(d["path"], label_column=d["label_column"],
                   header=bool(d["header"]))
-    fractions = {k: float(cfg["split"].get(k, 0.0))
-                 for k in ("train", "val", "test")}
-    ds = split_dataset(ds, fractions, seed=seed,
+    ds = split_dataset(ds, _split_fractions(cfg), seed=seed,
                        stratified=bool(cfg["split"].get("stratified", True)))
     if d.get("standardize_features", True):
         ds = apply_feature_standardization(ds)
@@ -214,40 +247,6 @@ def prepare_dataset(cfg: dict, seed: int):
 
 def _write_json(path: str, payload: dict) -> None:
     _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _pop_report_dict(report: PopReport) -> dict:
-    def op_tokens(record):
-        return {
-            "layer_index": record.layer_index,
-            "gis_pass": record.gis_pass,
-            "role": record.role,
-            "hidden_op": record.hidden_op.tokens(),
-            "output_op": record.output_op.tokens(),
-            "train_mse": record.train_mse,
-        }
-
-    return {
-        "variant": report.variant,
-        "seed": report.seed,
-        "candidate_trainings": [op_tokens(r) for r in report.candidate_trainings],
-        "layer_trainings": [op_tokens(r) for r in report.layer_trainings],
-        "layers": [
-            {
-                "layer_index": s.layer_index,
-                "width": s.width,
-                "hidden_op": s.hidden_op.tokens(),
-                "output_op": s.output_op.tokens(),
-                "train_mse": s.train_mse,
-                "met_target": s.met_target,
-            }
-            for s in report.layer_summaries
-        ],
-        "template_exhausted": report.template_exhausted,
-        "final_metrics": report.final_metrics,
-        "params": report.params,
-        "flops": report.flops,
-    }
 
 
 def _write_trainlog(path: str, train_logs) -> None:
@@ -276,23 +275,19 @@ def run_single(cfg: dict, seed: int, out_dir: str) -> dict:
     ds = prepare_dataset(cfg, seed)
     variant = cfg["variant"]
     if variant in ("pop", "pmlp"):
-        spec = build_train_spec(cfg["train"], seed)
-        template = [int(w) for w in cfg["pop"]["template"]]
-        target = float(cfg["pop"]["target_mse"])
-        epochs = int(cfg["pop"]["epochs"])
+        spec = build_train_spec(cfg, seed)
+        template, target, epochs = _pop_args(cfg)
         if variant == "pop":
             net, report = run_pop_baseline(ds, template, target, epochs,
                                            spec, seed)
         else:
             net, report = run_pmlp_baseline(ds, template, target, epochs,
                                             spec, seed)
-        report_doc = _pop_report_dict(report)
     else:
         config = build_progression_config(cfg, seed)
         net, report = run_progression(ds, config)
-        report_doc = report.to_dict()
     save_model(net, os.path.join(out_dir, "model.json"))
-    _write_json(os.path.join(out_dir, "report.json"), report_doc)
+    _write_json(os.path.join(out_dir, "report.json"), report.to_dict())
     _write_trainlog(os.path.join(out_dir, "trainlog.csv"), report.train_logs)
     return {
         "seed": seed,
@@ -313,14 +308,14 @@ def cmd_train(args) -> int:
     if args.out:
         cfg["out_dir"] = args.out
     if args.template:
-        cfg["pop"]["template"] = [int(w) for w in args.template.split(",")]
+        cfg["pop"]["template"] = _int_list("--template", args.template)
     if args.target_mse is not None:
         cfg["pop"]["target_mse"] = args.target_mse
     cfg = apply_overrides(cfg, args.set)
     validate_run_config(cfg)
     out_dir = cfg["out_dir"]
     if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+        seeds = _int_list("--seeds", args.seeds)
     else:
         seeds = [int(cfg["seed"])]
     if len(seeds) == 1:
@@ -364,7 +359,7 @@ def cmd_eval(args) -> int:
         if not ds.has_split(split):
             raise ConfigError(f"dataset has no {split!r} split")
         X, Y = ds.X_split(split), ds.targets(split)
-        loss_kind = build_train_spec(cfg["train"], 0).loss
+        loss_kind = build_train_spec(cfg, 0).loss
     elif args.data:
         ds = load_csv(args.data, label_column=_label_col(args),
                       header=not args.no_header,

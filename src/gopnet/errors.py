@@ -59,7 +59,3 @@ class UnknownLabelColumn(GopError):
 
 class ClassTooSmall(GopError):
     """Stratified splitting impossible for at least one class."""
-
-
-class TemplateExhausted(GopError):
-    """A layerwise template ran out before reaching the target objective."""

@@ -20,9 +20,12 @@ from .operators import (
     STD_FLOOR,
     OperatorSet,
     activation_forward,
+    activation_grad,
     neuron_flops,
     nodal_forward,
+    nodal_grad,
     pool_forward_batch,
+    pool_grad_batch,
 )
 
 MODEL_FORMAT_VERSION = 1
@@ -61,21 +64,36 @@ class NeuronBlock:
     def width(self) -> int:
         return self.weights.shape[1]
 
-    def nodal_outputs(self, inputs: np.ndarray) -> np.ndarray:
-        """Nodal tensor [N, fan_in, width] for a batch of inputs."""
+    def forward_parts(self, inputs: np.ndarray):
+        """(Z, x, h): nodal tensor [N, fan_in, width], pre-activation and
+        output [N, width] for a batch of inputs."""
         inputs = np.asarray(inputs, dtype=float)
         if inputs.ndim != 2 or inputs.shape[1] != self.fan_in:
             raise DimensionMismatch(
                 f"block expects [N, {self.fan_in}] inputs, got {inputs.shape}")
-        return nodal_forward(self.op_set.nodal, self.weights[None, :, :], inputs[:, :, None])
-
-    def pre_activation(self, inputs: np.ndarray) -> np.ndarray:
-        Z = self.nodal_outputs(inputs)
-        return pool_forward_batch(self.op_set.pool, Z) + self.bias
+        Z = nodal_forward(self.op_set.nodal, self.weights[None, :, :], inputs[:, :, None])
+        x = pool_forward_batch(self.op_set.pool, Z) + self.bias
+        return Z, x, activation_forward(self.op_set.activation, x)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Pre-normalization block outputs, [N, width]."""
-        return activation_forward(self.op_set.activation, self.pre_activation(inputs))
+        return self.forward_parts(inputs)[2]
+
+    def backward(self, inputs: np.ndarray, Z: np.ndarray, x: np.ndarray,
+                 dh: np.ndarray, want_params: bool, want_inputs: bool):
+        """(dW, dbias, dinputs) from the output gradient ``dh`` and the
+        ``forward_parts`` intermediates of ``inputs``; the parameter pair is
+        None unless ``want_params``, dinputs None unless ``want_inputs``."""
+        dx = dh * activation_grad(self.op_set.activation, x)
+        dZ = dx[:, None, :] * pool_grad_batch(self.op_set.pool, Z)
+        gw, gy = nodal_grad(self.op_set.nodal, self.weights[None, :, :],
+                            inputs[:, :, None])
+        dW = dbias = dinputs = None
+        if want_params:
+            dW, dbias = (dZ * gw).sum(axis=0), dx.sum(axis=0)
+        if want_inputs:
+            dinputs = (dZ * gy).sum(axis=2)
+        return dW, dbias, dinputs
 
     def n_params(self) -> int:
         return self.fan_in * self.width + self.width

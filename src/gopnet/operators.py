@@ -1,14 +1,21 @@
 """Fixed library of nodal, pooling and activation operators.
 
-All forward functions are elementwise/broadcasting numpy operations so the
-same code path serves scalar probes and batched tensors.  Each operator has
-an analytic partial-derivative companion used by the gradient trainer.
+Each operator family is one private table keyed by its enum (``_NODAL``,
+``_POOL``, ``_ACTIVATION``); an entry holds the operator's forward, its
+analytic derivative for the gradient trainer and its inference FLOPs, so
+each operator is defined in one table entry.  The public functions
+(``nodal_forward``, ``pool_grad_batch``, ``neuron_flops`` ...) are one-line
+lookups into these tables.  Forwards are elementwise/broadcasting numpy
+operations, so the same code path serves scalar probes and batched tensors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import mul
+from typing import Callable
 
 import numpy as np
 
@@ -118,220 +125,204 @@ def enumerate_operator_sets() -> list[OperatorSet]:
 
 
 # ---------------------------------------------------------------------------
-# Nodal operators: z = psi(y, w), elementwise over broadcast w and y.
+# Operator tables: one _Op per operator holding its forward, its analytic
+# derivative and its inference cost.  Scalar costs: add/mul/compare = 1,
+# exp/log/sin/tanh/division = 4; per-operator totals are fixed sums of these,
+# with sigmoid and tanh counted as one transcendental evaluation.
 # ---------------------------------------------------------------------------
 
-def nodal_forward(op: NodalOp, w, y):
-    w = np.asarray(w, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if op is NodalOp.MULTIPLICATION:
-        return w * y
-    if op is NodalOp.EXPONENTIAL:
-        return np.exp(np.clip(w * y, -EXP_CLAMP, EXP_CLAMP)) - 1.0
-    if op is NodalOp.HARMONIC:
-        return np.sin(w * y)
-    if op is NodalOp.QUADRATIC:
-        return w * y * y
-    if op is NodalOp.GAUSSIAN:
-        return w * np.exp(-w * y * y)
-    if op is NodalOp.DOG:
-        return w * y * np.exp(-w * y * y)
-    raise ValueError(f"unknown nodal operator {op}")
+@dataclass(frozen=True)
+class _Op:
+    forward: Callable
+    grad: Callable
+    flops: int | Callable[[int], int]  # pools: a function of fan-in
 
 
-def nodal_grad(op: NodalOp, w, y):
-    """Partials (dz/dw, dz/dy) of the nodal operator."""
-    w = np.asarray(w, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if op is NodalOp.MULTIPLICATION:
-        return np.broadcast_to(y, np.broadcast_shapes(w.shape, y.shape)).copy(), \
-            np.broadcast_to(w, np.broadcast_shapes(w.shape, y.shape)).copy()
-    if op is NodalOp.EXPONENTIAL:
-        u = w * y
-        e = np.exp(np.clip(u, -EXP_CLAMP, EXP_CLAMP))
-        live = (np.abs(u) < EXP_CLAMP).astype(float)
-        return y * e * live, w * e * live
-    if op is NodalOp.HARMONIC:
-        c = np.cos(w * y)
-        return y * c, w * c
-    if op is NodalOp.QUADRATIC:
-        yy = y * y
-        return np.broadcast_to(yy, np.broadcast_shapes(w.shape, y.shape)).copy(), 2.0 * w * y
-    if op is NodalOp.GAUSSIAN:
-        g = np.exp(-w * y * y)
-        return g * (1.0 - w * y * y), -2.0 * w * w * y * g
-    if op is NodalOp.DOG:
-        g = np.exp(-w * y * y)
-        return y * g * (1.0 - w * y * y), w * g * (1.0 - 2.0 * w * y * y)
-    raise ValueError(f"unknown nodal operator {op}")
+# Nodal operators: z = psi(y, w), elementwise over broadcast w and y.  Grads
+# return (dz/dw, dz/dy); each broadcasts against z but may be smaller.
+
+def _exponential(w, y):
+    return np.exp(np.clip(w * y, -EXP_CLAMP, EXP_CLAMP)) - 1.0
 
 
-# ---------------------------------------------------------------------------
-# Pooling operators over the fan-in dimension.
-# ---------------------------------------------------------------------------
-
-def pool_forward(op: PoolOp, z) -> float:
-    """Pool a 1-D vector of nodal outputs to a scalar."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise ValueError("pool_forward expects a 1-D vector")
-    if z.size == 0:
-        raise EmptyInput("pool_forward requires at least one element")
-    return float(pool_forward_batch(op, z[None, :, None])[0, 0])
+def _exponential_grad(w, y):
+    u = w * y
+    e = np.exp(np.clip(u, -EXP_CLAMP, EXP_CLAMP))
+    live = (np.abs(u) < EXP_CLAMP).astype(float)
+    return y * e * live, w * e * live
 
 
-def pool_grad(op: PoolOp, z) -> np.ndarray:
-    """Gradient of pool_forward w.r.t. each entry of z."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise ValueError("pool_grad expects a 1-D vector")
-    if z.size == 0:
-        raise EmptyInput("pool_grad requires at least one element")
-    return pool_grad_batch(op, z[None, :, None])[0, :, 0]
+def _harmonic_grad(w, y):
+    c = np.cos(w * y)
+    return y * c, w * c
 
 
-def pool_forward_batch(op: PoolOp, Z: np.ndarray) -> np.ndarray:
-    """Pool [N, fan_in, width] nodal outputs along the fan-in axis."""
-    n = Z.shape[1]
-    if op is PoolOp.SUMMATION:
-        return Z.sum(axis=1)
-    if op is PoolOp.CORRELATION1:
-        if n < 2:
+def _gaussian_grad(w, y):
+    g = np.exp(-w * y * y)
+    return g * (1.0 - w * y * y), -2.0 * w * w * y * g
+
+
+def _dog_grad(w, y):
+    g = np.exp(-w * y * y)
+    return y * g * (1.0 - w * y * y), w * g * (1.0 - 2.0 * w * y * y)
+
+
+_NODAL = {
+    NodalOp.MULTIPLICATION: _Op(lambda w, y: w * y, lambda w, y: (y, w), 1),
+    NodalOp.EXPONENTIAL: _Op(_exponential, _exponential_grad, 6),  # mul + exp + sub
+    NodalOp.HARMONIC: _Op(lambda w, y: np.sin(w * y), _harmonic_grad, 5),  # mul + sin
+    NodalOp.QUADRATIC: _Op(lambda w, y: w * y * y,
+                           lambda w, y: (y * y, 2.0 * w * y), 2),
+    # gaussian: 2 mul + neg + exp + mul
+    NodalOp.GAUSSIAN: _Op(lambda w, y: w * np.exp(-w * y * y), _gaussian_grad, 8),
+    NodalOp.DOG: _Op(lambda w, y: w * y * np.exp(-w * y * y), _dog_grad, 9),
+}
+
+
+# Pooling operators over the fan-in axis of [N, fan_in, width] nodal outputs.
+# Grads are elementwise, same shape as Z; maximum routes its subgradient to
+# the first maximal index along fan-in.  The k-correlation pool sums the
+# products of k + 1 adjacent entries, an empty sum when fan-in is <= k.
+
+def _correlation(k: int) -> _Op:
+    def views(Z):
+        n = Z.shape[1] - k
+        return [Z[:, j:n + j, :] for j in range(k + 1)]
+
+    def forward(Z):
+        if Z.shape[1] <= k:
             return np.zeros((Z.shape[0], Z.shape[2]))
-        return (Z[:, :-1, :] * Z[:, 1:, :]).sum(axis=1)
-    if op is PoolOp.CORRELATION2:
-        if n < 3:
-            return np.zeros((Z.shape[0], Z.shape[2]))
-        return (Z[:, :-2, :] * Z[:, 1:-1, :] * Z[:, 2:, :]).sum(axis=1)
-    if op is PoolOp.MAXIMUM:
-        return Z.max(axis=1)
-    raise ValueError(f"unknown pool operator {op}")
+        return reduce(mul, views(Z)).sum(axis=1)
 
-
-def pool_grad_batch(op: PoolOp, Z: np.ndarray) -> np.ndarray:
-    """Elementwise pool gradients, same shape as Z.
-
-    Maximum routes its subgradient to the first maximal index along fan-in.
-    """
-    n = Z.shape[1]
-    if op is PoolOp.SUMMATION:
-        return np.ones_like(Z)
-    if op is PoolOp.CORRELATION1:
+    def grad(Z):
         g = np.zeros_like(Z)
-        if n >= 2:
-            g[:, :-1, :] += Z[:, 1:, :]
-            g[:, 1:, :] += Z[:, :-1, :]
+        if Z.shape[1] > k:
+            v = views(Z)
+            for j in range(k + 1):
+                g[:, j:Z.shape[1] - k + j, :] += reduce(mul, v[:j] + v[j + 1:])
         return g
-    if op is PoolOp.CORRELATION2:
-        g = np.zeros_like(Z)
-        if n >= 3:
-            g[:, :-2, :] += Z[:, 1:-1, :] * Z[:, 2:, :]
-            g[:, 1:-1, :] += Z[:, :-2, :] * Z[:, 2:, :]
-            g[:, 2:, :] += Z[:, :-2, :] * Z[:, 1:-1, :]
-        return g
-    if op is PoolOp.MAXIMUM:
-        g = np.zeros_like(Z)
-        idx = Z.argmax(axis=1)
-        np.put_along_axis(g, idx[:, None, :], 1.0, axis=1)
-        return g
-    raise ValueError(f"unknown pool operator {op}")
+
+    return _Op(forward, grad, lambda n: max((k + 1) * (n - k) - 1, 0))
 
 
-# ---------------------------------------------------------------------------
+def _maximum_grad(Z):
+    g = np.zeros_like(Z)
+    idx = Z.argmax(axis=1)
+    np.put_along_axis(g, idx[:, None, :], 1.0, axis=1)
+    return g
+
+
+_POOL = {
+    PoolOp.SUMMATION: _Op(lambda Z: Z.sum(axis=1), np.ones_like,
+                          lambda n: max(n - 1, 0)),
+    PoolOp.CORRELATION1: _correlation(1),  # n - 1 products, n - 2 adds
+    PoolOp.CORRELATION2: _correlation(2),  # 2(n - 2) products, n - 3 adds
+    PoolOp.MAXIMUM: _Op(lambda Z: Z.max(axis=1), _maximum_grad,
+                        lambda n: max(n - 1, 0)),
+}
+
+
 # Activation operators, elementwise.  Softplus and ELU follow the library
 # definitions used throughout this package: softplus(x) = log(1 + exp(-x))
-# and elu(x) = x for x >= 0, exp(x) for x < 0.
-# ---------------------------------------------------------------------------
+# and elu(x) = x for x >= 0, exp(x) for x < 0.  ReLU'(0) = 0 and ELU'(0) = 1.
 
 def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
-def activation_forward(op: ActivationOp, x):
-    x = np.asarray(x, dtype=float)
-    if op is ActivationOp.SIGMOID:
-        return _sigmoid(x)
-    if op is ActivationOp.TANH:
-        return np.tanh(x)
-    if op is ActivationOp.RELU:
-        return np.maximum(0.0, x)
-    if op is ActivationOp.SOFTPLUS:
-        # log(1 + exp(-x)) computed without overflow on either tail
-        return np.where(x >= 0, np.log1p(np.exp(-np.abs(x))),
-                        -x + np.log1p(np.exp(-np.abs(x))))
-    if op is ActivationOp.INVERSE_ABSOLUTE:
-        return x / (1.0 + np.abs(x))
-    if op is ActivationOp.ELU:
-        return np.where(x >= 0, x, np.exp(np.minimum(x, 0.0)))
-    raise ValueError(f"unknown activation operator {op}")
+def _sigmoid_grad(x):
+    s = _sigmoid(x)
+    return s * (1.0 - s)
 
 
-def activation_grad(op: ActivationOp, x):
-    """Derivative of the activation; ReLU'(0) = 0 and ELU'(0) = 1 by convention."""
-    x = np.asarray(x, dtype=float)
-    if op is ActivationOp.SIGMOID:
-        s = _sigmoid(x)
-        return s * (1.0 - s)
-    if op is ActivationOp.TANH:
-        t = np.tanh(x)
-        return 1.0 - t * t
-    if op is ActivationOp.RELU:
-        return (x > 0).astype(float)
-    if op is ActivationOp.SOFTPLUS:
-        return -_sigmoid(-x)
-    if op is ActivationOp.INVERSE_ABSOLUTE:
-        d = 1.0 + np.abs(x)
-        return 1.0 / (d * d)
-    if op is ActivationOp.ELU:
-        return np.where(x >= 0, 1.0, np.exp(np.minimum(x, 0.0)))
-    raise ValueError(f"unknown activation operator {op}")
+def _tanh_grad(x):
+    t = np.tanh(x)
+    return 1.0 - t * t
+
+
+def _softplus(x):
+    # log(1 + exp(-x)) computed without overflow on either tail
+    return np.where(x >= 0, np.log1p(np.exp(-np.abs(x))),
+                    -x + np.log1p(np.exp(-np.abs(x))))
+
+
+def _inverse_absolute_grad(x):
+    d = 1.0 + np.abs(x)
+    return 1.0 / (d * d)
+
+
+_ACTIVATION = {
+    ActivationOp.SIGMOID: _Op(_sigmoid, _sigmoid_grad, 4),
+    ActivationOp.TANH: _Op(np.tanh, _tanh_grad, 4),
+    ActivationOp.RELU: _Op(lambda x: np.maximum(0.0, x),
+                           lambda x: (x > 0).astype(float), 1),
+    ActivationOp.SOFTPLUS: _Op(_softplus, lambda x: -_sigmoid(-x), 9),  # exp + add + log
+    ActivationOp.INVERSE_ABSOLUTE: _Op(lambda x: x / (1.0 + np.abs(x)),
+                                       _inverse_absolute_grad, 6),  # abs + add + div
+    ActivationOp.ELU: _Op(lambda x: np.where(x >= 0, x, np.exp(np.minimum(x, 0.0))),
+                          lambda x: np.where(x >= 0, 1.0, np.exp(np.minimum(x, 0.0))),
+                          5),  # compare + exp
+}
 
 
 # ---------------------------------------------------------------------------
-# Inference cost model.  Scalar costs: add/mul/compare = 1,
-# exp/log/sin/tanh/division = 4; per-operator totals are fixed sums of these,
-# with sigmoid and tanh counted as one transcendental evaluation.
+# Public lookups
 # ---------------------------------------------------------------------------
 
-NODAL_FLOPS = {
-    NodalOp.MULTIPLICATION: 1,
-    NodalOp.EXPONENTIAL: 6,   # mul + exp + sub
-    NodalOp.HARMONIC: 5,      # mul + sin
-    NodalOp.QUADRATIC: 2,
-    NodalOp.GAUSSIAN: 8,      # 2 mul + neg + exp + mul
-    NodalOp.DOG: 9,
-}
+def nodal_forward(op: NodalOp, w, y):
+    return _NODAL[op].forward(np.asarray(w, dtype=float), np.asarray(y, dtype=float))
 
-ACTIVATION_FLOPS = {
-    ActivationOp.SIGMOID: 4,
-    ActivationOp.TANH: 4,
-    ActivationOp.RELU: 1,
-    ActivationOp.SOFTPLUS: 9,         # exp + add + log
-    ActivationOp.INVERSE_ABSOLUTE: 6,  # abs + add + div
-    ActivationOp.ELU: 5,              # compare + exp
-}
+
+def nodal_grad(op: NodalOp, w, y):
+    """Partials (dz/dw, dz/dy) of the nodal operator, broadcastable against z."""
+    return _NODAL[op].grad(np.asarray(w, dtype=float), np.asarray(y, dtype=float))
+
+
+def _probe(z, name: str) -> np.ndarray:
+    """A 1-D vector of nodal outputs as a [1, n, 1] batch."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1:
+        raise ValueError(f"{name} expects a 1-D vector")
+    if z.size == 0:
+        raise EmptyInput(f"{name} requires at least one element")
+    return z[None, :, None]
+
+
+def pool_forward(op: PoolOp, z) -> float:
+    """Pool a 1-D vector of nodal outputs to a scalar."""
+    return float(pool_forward_batch(op, _probe(z, "pool_forward"))[0, 0])
+
+
+def pool_grad(op: PoolOp, z) -> np.ndarray:
+    """Gradient of pool_forward w.r.t. each entry of z."""
+    return pool_grad_batch(op, _probe(z, "pool_grad"))[0, :, 0]
+
+
+def pool_forward_batch(op: PoolOp, Z: np.ndarray) -> np.ndarray:
+    """Pool [N, fan_in, width] nodal outputs along the fan-in axis."""
+    return _POOL[op].forward(Z)
+
+
+def pool_grad_batch(op: PoolOp, Z: np.ndarray) -> np.ndarray:
+    """Elementwise pool gradients, same shape as Z."""
+    return _POOL[op].grad(Z)
 
 
 def pool_flops(op: PoolOp, fan_in: int) -> int:
     """Pooling cost for one neuron with the given fan-in."""
-    n = fan_in
-    if op is PoolOp.SUMMATION:
-        return max(n - 1, 0)
-    if op is PoolOp.CORRELATION1:
-        return max(2 * n - 3, 0)
-    if op is PoolOp.CORRELATION2:
-        return max(3 * n - 7, 0)
-    if op is PoolOp.MAXIMUM:
-        return max(n - 1, 0)
-    raise ValueError(f"unknown pool operator {op}")
+    return _POOL[op].flops(fan_in)
+
+
+def activation_forward(op: ActivationOp, x):
+    return _ACTIVATION[op].forward(np.asarray(x, dtype=float))
+
+
+def activation_grad(op: ActivationOp, x):
+    return _ACTIVATION[op].grad(np.asarray(x, dtype=float))
 
 
 def neuron_flops(op_set: OperatorSet, fan_in: int) -> int:
     """Per-sample cost of one neuron: nodal over fan-in, pool, bias, activation."""
-    return (
-        fan_in * NODAL_FLOPS[op_set.nodal]
-        + pool_flops(op_set.pool, fan_in)
-        + 1
-        + ACTIVATION_FLOPS[op_set.activation]
-    )
+    return (fan_in * _NODAL[op_set.nodal].flops + pool_flops(op_set.pool, fan_in)
+            + 1 + _ACTIVATION[op_set.activation].flops)

@@ -34,6 +34,7 @@ from .operators import (
 )
 from .ridge import Metric, evaluate_candidate
 from .training import (
+    LossKind,
     TrainableSelection,
     TrainSpec,
     evaluate_metrics,
@@ -86,6 +87,8 @@ class ProgressionConfig:
             raise ConfigError("max_layers must be >= 1")
         if not self.c_grid:
             raise ConfigError("c_grid must be non-empty")
+        if not all(np.isfinite(c) and c >= 0 for c in self.c_grid):
+            raise ConfigError("c_grid entries must be finite and >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.op_set_indices is not None:
@@ -184,6 +187,14 @@ def improvement_rate(before: float, after: float,
     if metric is Metric.MSE:
         return (before - after) / before
     return (after - before) / before
+
+
+def _rate_or_zero(before: float, after: float, metric: Metric) -> float:
+    """improvement_rate, taken as 0 where the baseline is zero."""
+    try:
+        return improvement_rate(before, after, metric)
+    except DegenerateBaseline:
+        return 0.0
 
 
 def derive_seed(*parts) -> int:
@@ -418,20 +429,9 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
             r_value = -1.0
             accepted = False
             metric_after = float("inf")
-        elif step == 0:
-            try:
-                r_value = improvement_rate(baseline, metric_after,
-                                           config.rate_metric)
-            except DegenerateBaseline:
-                r_value = 0.0
-            accepted = True
         else:
-            try:
-                r_value = improvement_rate(baseline, metric_after,
-                                           config.rate_metric)
-            except DegenerateBaseline:
-                r_value = 0.0
-            accepted = r_value >= config.eps_n
+            r_value = _rate_or_zero(baseline, metric_after, config.rate_metric)
+            accepted = step == 0 or r_value >= config.eps_n
         ctx.report.steps.append(StepRecord(
             layer_index, width, found.candidate_indices, found.candidate_scores,
             found.op_set, float(r_value), accepted, float(metric_after),
@@ -465,10 +465,7 @@ def run_progression(dataset: Dataset, config: ProgressionConfig):
 
     null_baseline = _null_baseline(ctx)
     net, layer_metric = grow_layer(None, 0, ctx, null_baseline)
-    try:
-        r_first = improvement_rate(null_baseline, layer_metric, config.rate_metric)
-    except DegenerateBaseline:
-        r_first = 0.0
+    r_first = _rate_or_zero(null_baseline, layer_metric, config.rate_metric)
     report.layers.append(LayerRecord(0, net.hidden[0].width, float(r_first), True))
     layer_baseline = layer_metric
     while len(net.hidden) < config.max_layers:
@@ -483,11 +480,7 @@ def run_progression(dataset: Dataset, config: ProgressionConfig):
             net = snapshot
             report.layers.append(LayerRecord(layer_index, 0, -1.0, False))
             break
-        try:
-            r_layer = improvement_rate(layer_baseline, new_metric,
-                                       config.rate_metric)
-        except DegenerateBaseline:
-            r_layer = 0.0
+        r_layer = _rate_or_zero(layer_baseline, new_metric, config.rate_metric)
         accepted = r_layer >= config.eps_l
         report.layers.append(LayerRecord(
             layer_index, net.hidden[layer_index].width, float(r_layer), accepted))
@@ -512,7 +505,7 @@ def run_progression(dataset: Dataset, config: ProgressionConfig):
     else:
         report.train_logs.append(("final", log))
 
-    report.final_metrics = _final_metrics(net, dataset, config)
+    report.final_metrics = _final_metrics(net, dataset, config.train_spec.loss)
     report.params = net.count_params()
     report.flops = net.count_flops()
     report.operator_histogram = operator_histogram(net)
@@ -520,16 +513,14 @@ def run_progression(dataset: Dataset, config: ProgressionConfig):
     return net, report
 
 
-def _final_metrics(net: GopNetwork, dataset: Dataset,
-                   config: ProgressionConfig) -> dict:
+def _final_metrics(net: GopNetwork, dataset: Dataset, loss_kind: LossKind) -> dict:
     metrics = {}
     for split in ("train", "val", "test"):
         if not dataset.has_split(split):
             metrics[split] = None
             continue
         loss, acc = evaluate_metrics(net, dataset.X_split(split),
-                                     dataset.targets(split),
-                                     config.train_spec.loss)
+                                     dataset.targets(split), loss_kind)
         metrics[split] = {"loss": loss, "accuracy": acc}
     return metrics
 
@@ -570,7 +561,28 @@ class PopReport:
     params: int = 0
     flops: int = 0
     train_logs: list = field(default_factory=list)
+    final_finetune_diverged: bool = False
     wall_time: float = 0.0
+
+    def to_dict(self) -> dict:
+        """Serializable report without wall-clock fields, as
+        ProgressionReport.to_dict."""
+        def tokens(record) -> dict:
+            return {**vars(record), "hidden_op": record.hidden_op.tokens(),
+                    "output_op": record.output_op.tokens()}
+
+        return {
+            "variant": self.variant,
+            "seed": self.seed,
+            "candidate_trainings": [tokens(r) for r in self.candidate_trainings],
+            "layer_trainings": [tokens(r) for r in self.layer_trainings],
+            "layers": [tokens(s) for s in self.layer_summaries],
+            "template_exhausted": self.template_exhausted,
+            "final_metrics": self.final_metrics,
+            "params": self.params,
+            "flops": self.flops,
+            "final_finetune_diverged": self.final_finetune_diverged,
+        }
 
 
 def _identity_norm(width: int) -> NormState:
@@ -719,21 +731,20 @@ def _pop_progression(dataset: Dataset, template, target_mse, epochs,
                      np.eye(n_classes), np.zeros(n_classes))
     selection = TrainableSelection.all_blocks(net, include_output=False,
                                               include_norm=False)
-    log = finetune(net, (X_train, Y_train),
-                   (dataset.X_split("val"), dataset.targets("val"))
-                   if dataset.has_split("val") else None,
-                   with_seed(train_spec, derive_seed(seed, 10_000)), selection)
-    report.train_logs.append(("final", log))
+    snapshot = copy.deepcopy(net)
+    try:
+        log = finetune(net, (X_train, Y_train),
+                       (dataset.X_split("val"), dataset.targets("val"))
+                       if dataset.has_split("val") else None,
+                       with_seed(train_spec, derive_seed(seed, 10_000)), selection)
+    except NonFiniteLoss:
+        # as in run_progression: the searched network stays usable
+        net = snapshot
+        report.final_finetune_diverged = True
+    else:
+        report.train_logs.append(("final", log))
 
-    metrics = {}
-    for split in ("train", "val", "test"):
-        if not dataset.has_split(split):
-            metrics[split] = None
-            continue
-        loss, acc = evaluate_metrics(net, dataset.X_split(split),
-                                     dataset.targets(split), train_spec.loss)
-        metrics[split] = {"loss": loss, "accuracy": acc}
-    report.final_metrics = metrics
+    report.final_metrics = _final_metrics(net, dataset, train_spec.loss)
     report.params = net.count_params()
     report.flops = net.count_flops()
     report.wall_time = time.perf_counter() - started

@@ -14,13 +14,6 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteLoss, UnfitNormalization
 from .network import GopLayer, GopNetwork, NormMode
-from .operators import (
-    activation_forward,
-    activation_grad,
-    nodal_grad,
-    pool_forward_batch,
-    pool_grad_batch,
-)
 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
@@ -186,8 +179,8 @@ def evaluate_metrics(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
 @dataclass
 class _LayerCache:
     inputs: np.ndarray          # layer input after any upstream dropout
-    Z: list                     # per block, [N, fan_in, width]
-    x: list                     # per block pre-activation, [N, width]
+    Z: tuple                    # per block, [N, fan_in, width]
+    x: tuple                    # per block pre-activation, [N, width]
     H_raw: np.ndarray           # concatenated activations
     live: np.ndarray            # bool mask of batch-stat normalized columns
     xhat: np.ndarray | None     # [N, n_live]
@@ -227,18 +220,15 @@ def _forward_train(net: GopNetwork, X: np.ndarray, selection: TrainableSelection
         if not layer.norm.fitted:
             raise UnfitNormalization(f"layer {li} normalization is unfitted")
         inputs = a
-        Zs, xs, hs = [], [], []
-        for block in layer.blocks:
-            Z = block.nodal_outputs(inputs)
-            x = pool_forward_batch(block.op_set.pool, Z) + block.bias
-            Zs.append(Z)
-            xs.append(x)
-            hs.append(activation_forward(block.op_set.activation, x))
+        Zs, xs, hs = zip(*(block.forward_parts(inputs) for block in layer.blocks))
         H_raw = np.concatenate(hs, axis=1)
         live = _live_columns(layer, li, selection)
         out = np.empty_like(H_raw)
         frozen = ~live
         norm = layer.norm
+        # masks, not per-block slices: H_raw[:, mask] is an F-ordered copy whose
+        # axis-0 sums run pairwise; a slice view sums row by row and would move
+        # the batch statistics in their last bits
         if frozen.any():
             out[:, frozen] = (norm.scale[frozen] * (H_raw[:, frozen] - norm.mean[frozen])
                               / norm.std[frozen] + norm.shift[frozen])
@@ -322,15 +312,13 @@ def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
             selected = (li, bi) in selection.block_refs
             if not (selected or need_dinputs):
                 continue
-            sl = layer.block_slice(bi)
-            dx = dH_raw[:, sl] * activation_grad(block.op_set.activation, cache.x[bi])
-            dZ = dx[:, None, :] * pool_grad_batch(block.op_set.pool, cache.Z[bi])
-            gw, gy = nodal_grad(block.op_set.nodal, block.weights[None, :, :],
-                                cache.inputs[:, :, None])
+            dW, dbias, dblock = block.backward(
+                cache.inputs, cache.Z[bi], cache.x[bi],
+                dH_raw[:, layer.block_slice(bi)], selected, need_dinputs)
             if selected:
-                grads.blocks[(li, bi)] = ((dZ * gw).sum(axis=0), dx.sum(axis=0))
+                grads.blocks[(li, bi)] = (dW, dbias)
             if need_dinputs:
-                dinputs += (dZ * gy).sum(axis=2)
+                dinputs += dblock
         dA = dinputs
     return grads
 

@@ -31,7 +31,6 @@ from gopnet.operators import (
     nodal_forward,
     nodal_grad,
     pool_forward,
-    pool_forward_batch,
     pool_grad,
 )
 from gopnet.progression import (
@@ -180,8 +179,7 @@ def test_criterion_03_ridge_oracle():
 # ---------------------------------------------------------------------------
 
 def _kink_adjacent(block, X):
-    Z = block.nodal_outputs(X)
-    x = pool_forward_batch(block.op_set.pool, Z) + block.bias
+    Z, x, _ = block.forward_parts(X)
     if block.op_set.activation in (ActivationOp.RELU, ActivationOp.ELU):
         if np.abs(x).min() < KINK_TOL:
             return True

@@ -133,6 +133,24 @@ class TestTrain:
         assert len(report["candidate_trainings"]) == 4 * 144
         assert len(report["layers"]) == 1  # infinite target met by layer one
 
+    @pytest.mark.parametrize("extra, named", [
+        (["--set", "progression.n_min=abc"], "progression.n_min"),
+        (["--set", "train.lr_schedule=5"], "train.lr_schedule"),
+        (["--set", 'split.train="x"'], "split.train"),
+        (["--set", 'train.weight_reg={"kind":"decay"}'], "train.weight_reg.value"),
+        (["--set", "progression.c_grid=[-1]"], "c_grid"),
+        (["--template", "4,x", "--variant", "pop"], "--template"),
+        (["--seeds", "1,y"], "--seeds"),
+    ])
+    def test_malformed_value_exits_2_naming_it(self, tmp_path, run_config,
+                                               capsys, extra, named):
+        out = str(tmp_path / "bad")
+        assert main(["train", "--config", run_config, "--out", out] + extra) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert named in captured.err
+        assert not os.path.exists(os.path.join(out, "model.json"))
+
     def test_unknown_variant_exits_2(self, tmp_path, run_config):
         cfg = json.load(open(run_config))
         cfg["variant"] = "frobnicate"

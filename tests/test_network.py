@@ -75,6 +75,38 @@ class TestBlockForward:
         with pytest.raises(DimensionMismatch):
             block.forward(np.ones((4, 5)))
 
+    def test_forward_parts_end_in_forward(self, rng):
+        op = OperatorSet(NodalOp.DOG, PoolOp.CORRELATION1, ActivationOp.TANH)
+        block = NeuronBlock(op, rng.normal(size=(4, 3)), rng.normal(size=3))
+        X = rng.normal(size=(6, 4))
+        Z, x, h = block.forward_parts(X)
+        assert (Z.shape, x.shape) == ((6, 4, 3), (6, 3))
+        assert_array_equal(h, block.forward(X))
+
+
+class TestBlockBackward:
+    def test_returns_only_what_is_asked(self, rng):
+        block = NeuronBlock(PERCEPTRON, rng.normal(size=(4, 3)), rng.normal(size=3))
+        X = rng.normal(size=(6, 4))
+        Z, x, _ = block.forward_parts(X)
+        dh = rng.normal(size=(6, 3))
+        dW, dbias, dinputs = block.backward(X, Z, x, dh, True, False)
+        assert (dW.shape, dbias.shape, dinputs) == ((4, 3), (3,), None)
+        dW, dbias, dinputs = block.backward(X, Z, x, dh, False, True)
+        assert (dW, dbias, dinputs.shape) == (None, None, (6, 4))
+
+    def test_perceptron_backward_is_dense_backward(self, rng):
+        W, b = rng.normal(size=(4, 3)), rng.normal(size=3)
+        block = NeuronBlock(PERCEPTRON, W, b)
+        X = rng.normal(size=(6, 4))
+        Z, x, h = block.forward_parts(X)
+        dh = rng.normal(size=(6, 3))
+        dW, dbias, dinputs = block.backward(X, Z, x, dh, True, True)
+        dx = dh * h * (1.0 - h)
+        assert np.abs(dW - X.T @ dx).max() < 1e-12
+        assert np.abs(dbias - dx.sum(axis=0)).max() < 1e-12
+        assert np.abs(dinputs - dx @ W.T).max() < 1e-12
+
 
 class TestNormState:
     def test_standardize_analytic_example(self):

@@ -9,6 +9,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from gopnet.errors import EmptyInput
 from gopnet.operators import (
+    _ACTIVATION,
+    _NODAL,
+    _POOL,
     LIBRARY_SIZE,
     ActivationOp,
     NodalOp,
@@ -26,6 +29,21 @@ from gopnet.operators import (
 )
 
 from conftest import central_difference, rel_error
+
+
+class TestOperatorTables:
+    @pytest.mark.parametrize("table, family", [
+        (_NODAL, NodalOp), (_POOL, PoolOp), (_ACTIVATION, ActivationOp)])
+    def test_one_entry_per_operator(self, table, family):
+        assert list(table) == list(family)
+
+    @pytest.mark.parametrize("op", list(NodalOp))
+    def test_nodal_partials_broadcast_against_z(self, op, rng):
+        w = rng.uniform(-1.0, 1.0, size=(1, 4, 3))
+        y = rng.uniform(-1.0, 1.0, size=(5, 4, 1))
+        z = nodal_forward(op, w, y)
+        for partial in nodal_grad(op, w, y):
+            assert np.broadcast_shapes(partial.shape, z.shape) == z.shape
 
 
 class TestNodalForward:

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from gopnet.data import one_hot
-from gopnet.errors import ConfigError, DegenerateBaseline
+from gopnet.errors import ConfigError, DegenerateBaseline, NonFiniteLoss
 from gopnet.network import GopNetwork, NeuronBlock
 from gopnet.operators import (
     ActivationOp,
@@ -19,6 +19,7 @@ from gopnet.progression import (
     Metric,
     ProgressionConfig,
     Variant,
+    derive_seed,
     improvement_rate,
     run_pmlp_baseline,
     run_pop_baseline,
@@ -26,7 +27,7 @@ from gopnet.progression import (
     search_operator_set,
 )
 from gopnet.synth import as_dataset, gaussian_blobs, noise_labels, two_moons
-from gopnet.training import TrainSpec
+from gopnet.training import TrainLog, TrainSpec, finetune
 
 FAST_SPEC = TrainSpec(lr_schedule=((0.01, 3), (0.001, 2)), batch_size=16,
                       dropout_hidden=0.1, dropout_input=0.0)
@@ -275,6 +276,9 @@ class TestRunProgression:
             run_progression(ds, fast_config(n_min=100, max_layer_width=50))
         with pytest.raises(ConfigError):
             run_progression(ds, fast_config(op_set_indices=(999,)))
+        for c in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                run_progression(ds, fast_config(c_grid=(0.1, c)))
 
 
 def tiny_pop_dataset(seed=0):
@@ -327,6 +331,30 @@ class TestPopBaseline:
                                         train_spec=spec, seed=4)
         assert report.layer_summaries[0].met_target
         assert len(net.hidden) == 2
+
+    def test_diverged_final_finetune_keeps_searched_network(self, monkeypatch):
+        import gopnet.progression as progression
+
+        def run(final):
+            def fake(net, data_train, data_val, spec, selection):
+                if spec.seed == derive_seed(5, 10_000):
+                    return final(net)
+                return finetune(net, data_train, data_val, spec, selection)
+            monkeypatch.setattr(progression, "finetune", fake)
+            return run_pmlp_baseline(tiny_pop_dataset(), [3], target_mse=0.0,
+                                     epochs=1, train_spec=TINY_SPEC, seed=5)
+
+        def diverge(net):
+            net.hidden[0].blocks[0].weights[:] = np.nan
+            raise NonFiniteLoss("diverged", epoch=0)
+
+        net, report = run(diverge)
+        skipped, _ = run(lambda net: TrainLog())
+        assert report.final_finetune_diverged
+        assert report.to_dict()["final_finetune_diverged"] is True
+        assert net.to_json() == skipped.to_json()
+        assert report.train_logs == []
+        assert np.isfinite(report.final_metrics["train"]["loss"])
 
     def test_empty_template_rejected(self):
         with pytest.raises(ConfigError):

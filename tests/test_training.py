@@ -170,11 +170,10 @@ class TestBackward:
         # 4-input / 3-neuron / 2-class network per operator set, 10 random
         # coordinates each against finite differences; kink-adjacent setups
         # are re-drawn
-        from gopnet.operators import enumerate_operator_sets, pool_forward_batch
+        from gopnet.operators import enumerate_operator_sets
 
         def kink_adjacent(block, X):
-            Z = block.nodal_outputs(X)
-            x = pool_forward_batch(block.op_set.pool, Z) + block.bias
+            Z, x, _ = block.forward_parts(X)
             if block.op_set.activation in (ActivationOp.RELU, ActivationOp.ELU):
                 if np.abs(x).min() < 1e-3:
                     return True
