@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -18,7 +19,8 @@ import sys
 
 import numpy as np
 
-from .data import apply_feature_standardization, load_csv, split_dataset
+from .data import (SPLIT_NAMES, apply_feature_standardization, load_csv,
+                   split_dataset)
 from .errors import (
     ConfigError,
     DimensionMismatch,
@@ -37,44 +39,168 @@ from .progression import (
 from .ridge import Metric
 from .training import Decay, LossKind, MaxNorm, TrainSpec, evaluate_metrics
 
+VARIANTS = tuple(v.value for v in Variant) + ("pop", "pmlp")
+
+
+# ---------------------------------------------------------------------------
+# Config schema: one typed parser per key
+# ---------------------------------------------------------------------------
+
+def _typed(ok, expected: str, convert=None):
+    """Parser of (value, dotted key): ``convert(value)`` if ``ok(value)``."""
+    def parse(value, path: str):
+        if not ok(value):
+            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        return value if convert is None else convert(value)
+    return parse
+
+
+def _is_int(v) -> bool:  # a JSON integer, so no booleans and no fractions
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:  # NaN is no number here
+    return (isinstance(v, float) and v == v
+            or _is_int(v) and abs(v) <= sys.float_info.max)
+
+
+_INT = _typed(_is_int, "an integer")
+_FLOAT = _typed(_is_number, "a number", float)
+_BOOL = _typed(lambda v: isinstance(v, bool), "true or false")
+_TEXT = _typed(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_SEED = _typed(lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+_POSITIVE_INT = _typed(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_FRACTION = _typed(lambda v: _is_number(v) and 0 <= v <= 1,
+                   "a number in [0, 1]", float)
+_OBJECT = _typed(lambda v: isinstance(v, dict), "an object")
+
+
+def _choice(table: dict):
+    return _typed(lambda v: isinstance(v, str) and v in table,
+                  f"one of {tuple(table)}", table.get)
+
+
+def _list_of(item, non_empty: bool = False):
+    check = _typed(lambda v: isinstance(v, list) and len(v) >= non_empty,
+                   "a non-empty list" if non_empty else "a list")
+    return lambda value, path: tuple(
+        item(v, f"{path}[{i}]") for i, v in enumerate(check(value, path)))
+
+
+def _lr_stage(value, path: str) -> tuple:
+    lr, epochs = _typed(lambda v: isinstance(v, list) and len(v) == 2,
+                        "[learning_rate, epochs]")(value, path)
+    return _FLOAT(lr, f"{path}[0]"), _INT(epochs, f"{path}[1]")
+
+
+_RATE_METRICS = {"loss": Metric.MSE, "accuracy": Metric.ACCURACY}
+_REGULARIZERS = {"none": None, "max-norm": MaxNorm, "decay": Decay}
+
+
+def _weight_reg(value, path: str):
+    """null, {} and kind "none" mean no regularizer; the others take a value."""
+    if value is None:
+        return None
+    kind = _choice(_REGULARIZERS)(_OBJECT(value, path).get("kind", "none"),
+                                  f"{path}.kind")
+    return kind and kind(_parse(value, {"value": _FLOAT}, path)["value"])
+
+
+# Every config key and its parser.  The progression and train keys are the
+# ProgressionConfig and TrainSpec fields of the same name.
+_SCHEMA = {
+    "variant": _typed(lambda v: v in VARIANTS, f"one of {VARIANTS}"),
+    "seed": _SEED,
+    "out_dir": _TEXT,
+    "dataset": {"path": _TEXT, "header": _BOOL, "standardize_features": _BOOL,
+                "label_column": _typed(lambda v: isinstance(v, str)
+                                       or _is_int(v), "a name or an index")},
+    "split": {**{name: _FRACTION for name in SPLIT_NAMES}, "stratified": _BOOL},
+    "progression": {"n_min": _INT, "n_i": _INT, "max_layer_width": _INT,
+                    "eps_n": _FLOAT, "eps_l": _FLOAT,
+                    "rate_metric": _choice(_RATE_METRICS),
+                    "c_grid": _list_of(_FLOAT), "max_layers": _INT},
+    "train": {"lr_schedule": _list_of(_lr_stage), "batch_size": _INT,
+              "dropout_hidden": _FLOAT, "dropout_input": _FLOAT,
+              "weight_reg": _weight_reg,
+              "loss": _choice({kind.value: kind for kind in LossKind})},
+    "pop": {"template": _list_of(_POSITIVE_INT, non_empty=True),
+            "target_mse": _FLOAT, "epochs": _POSITIVE_INT},
+}
+
+# JSON form of the dataclass defaults that are not JSON values already.
+_JSON_FORM = {
+    "rate_metric": {m: token for token, m in _RATE_METRICS.items()}.get,
+    "c_grid": list,
+    "lr_schedule": lambda stages: [list(stage) for stage in stages],
+    "weight_reg": lambda reg: {
+        "kind": next(k for k, cls in _REGULARIZERS.items() if cls is type(reg)),
+        "value": dataclasses.astuple(reg)[0]},
+    "loss": lambda kind: kind.value,
+}
+
+
+def _defaults(section: str, instance) -> dict:
+    return {key: _JSON_FORM.get(key, lambda v: v)(getattr(instance, key))
+            for key in _SCHEMA[section]}
+
+
 DEFAULT_CONFIG = {
-    "dataset": {
-        "path": None,
-        "label_column": "label",
-        "header": True,
-        "standardize_features": True,
-    },
+    "dataset": {"path": None, "label_column": "label", "header": True,
+                "standardize_features": True},
     "split": {"train": 0.6, "val": 0.2, "test": 0.2, "stratified": True},
-    "variant": "hemlgop",
-    "seed": 0,
+    "variant": ProgressionConfig.variant.value,
+    "seed": ProgressionConfig.seed,
     "out_dir": "runs/latest",
-    "progression": {
-        "n_min": 40,
-        "n_i": 20,
-        "max_layer_width": 200,
-        "eps_n": 1e-4,
-        "eps_l": 1e-4,
-        "rate_metric": "accuracy",
-        "c_grid": [0.1, 1.0, 10.0],
-        "max_layers": 8,
-    },
-    "train": {
-        "lr_schedule": [[0.01, 20], [0.001, 40], [0.0001, 40]],
-        "batch_size": 32,
-        "dropout_hidden": 0.3,
-        "dropout_input": 0.2,
-        "weight_reg": {"kind": "max-norm", "value": 2.0},
-        "loss": "mse",
-    },
+    "progression": _defaults("progression", ProgressionConfig()),
+    "train": _defaults("train", TrainSpec()),
     "pop": {"template": [200], "target_mse": 0.0, "epochs": 20},
 }
 
-VARIANTS = ("hemlgop", "homlgop", "hemlrn", "homlrn", "pop", "pmlp")
+
+def _parse(value, schema, path: str):
+    """``value`` parsed by ``schema``: a parser, or a dict of schemas."""
+    if callable(schema):
+        return schema(value, path)
+    _OBJECT(value, path)
+    prefix = f"{path}." if path else ""
+    for key in schema:
+        if key not in value:
+            raise ConfigError(f"{prefix}{key}: missing")
+    return {key: _parse(value[key], sub, prefix + key)
+            for key, sub in schema.items()}
 
 
-# ---------------------------------------------------------------------------
-# Config plumbing
-# ---------------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """A parsed run config; ``raw`` is what config.json records."""
+
+    raw: dict
+    variant: str
+    seed: int
+    out_dir: str
+    dataset: dict
+    split: dict
+    train: TrainSpec
+    progression: ProgressionConfig | None  # None for pop and pmlp
+    pop: dict  # run_pop_baseline keywords
+
+
+def parse_run_config(cfg: dict) -> RunConfig:
+    """Check every key of a merged run config; the dataset loader checks
+    that the file exists and the split fractions sum to 1."""
+    s = _parse(cfg, _SCHEMA, "")
+    train = TrainSpec(**s["train"], seed=s["seed"])
+    train.validate()
+    progression = None
+    if s["variant"] not in ("pop", "pmlp"):
+        progression = ProgressionConfig(
+            **s["progression"], variant=Variant(s["variant"]),
+            train_spec=train, seed=s["seed"])
+        progression.validate()
+    return RunConfig(cfg, s["variant"], s["seed"], s["out_dir"], s["dataset"],
+                     s["split"], train, progression, s["pop"])
+
 
 def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
@@ -120,21 +246,6 @@ def apply_overrides(cfg: dict, assignments) -> dict:
     return cfg
 
 
-def _read(cfg: dict, path: str, convert=None):
-    """The config value at dotted ``path``, passed through ``convert``; a
-    missing or unusable value is a ConfigError that names ``path``."""
-    value = cfg
-    try:
-        for key in path.split("."):
-            value = value[key]
-    except (KeyError, TypeError):
-        raise ConfigError(f"{path}: missing") from None
-    try:
-        return value if convert is None else convert(value)
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(f"{path}: invalid value {value!r}") from None
-
-
 def _int_list(flag: str, text: str) -> list:
     try:
         return [int(w) for w in text.split(",") if w.strip() != ""]
@@ -143,102 +254,12 @@ def _int_list(flag: str, text: str) -> list:
                           f"got {text!r}") from None
 
 
-def _split_fractions(cfg: dict) -> dict:
-    return {k: _read(cfg, f"split.{k}", float) for k in ("train", "val", "test")}
-
-
-def _pop_args(cfg: dict):
-    """(template, target_mse, epochs) of the pop/pmlp baselines."""
-    return (_read(cfg, "pop.template", lambda v: [int(w) for w in v]),
-            _read(cfg, "pop.target_mse", float),
-            _read(cfg, "pop.epochs", int))
-
-
-def validate_run_config(cfg: dict) -> None:
-    variant = _read(cfg, "variant")
-    if variant not in VARIANTS:
-        raise ConfigError(
-            f"unknown variant {variant!r}; choose from {VARIANTS}")
-    path = _read(cfg, "dataset.path")
-    if not path:
-        raise ConfigError("dataset.path is required")
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset file not found: {path}")
-    fractions = _split_fractions(cfg)
-    if abs(sum(fractions.values()) - 1.0) > 1e-9:
-        raise ConfigError(
-            f"split fractions must sum to 1, got {sum(fractions.values())}")
-    build_progression_config(cfg, _read(cfg, "seed", int)).validate()
-    if variant in ("pop", "pmlp"):
-        _pop_args(cfg)
-
-
-def build_train_spec(cfg: dict, seed: int) -> TrainSpec:
-    reg_cfg = _read(cfg, "train.weight_reg", lambda v: dict(v or {"kind": "none"}))
-    kind = reg_cfg.get("kind", "none")
-    if kind == "max-norm":
-        reg = MaxNorm(_read(cfg, "train.weight_reg.value", float))
-    elif kind == "decay":
-        reg = Decay(_read(cfg, "train.weight_reg.value", float))
-    elif kind == "none":
-        reg = None
-    else:
-        raise ConfigError(f"unknown weight_reg kind {kind!r}")
-    loss_token = _read(cfg, "train.loss")
-    try:
-        loss = LossKind(loss_token)
-    except ValueError:
-        raise ConfigError(f"unknown loss {loss_token!r}") from None
-    spec = TrainSpec(
-        lr_schedule=_read(cfg, "train.lr_schedule",
-                          lambda v: tuple((float(lr), int(ep)) for lr, ep in v)),
-        batch_size=_read(cfg, "train.batch_size", int),
-        dropout_hidden=_read(cfg, "train.dropout_hidden", float),
-        dropout_input=_read(cfg, "train.dropout_input", float),
-        weight_reg=reg,
-        loss=loss,
-        seed=seed,
-    )
-    spec.validate()
-    return spec
-
-
-def build_progression_config(cfg: dict, seed: int) -> ProgressionConfig:
-    metric_token = _read(cfg, "progression.rate_metric")
-    if metric_token == "loss":
-        metric = Metric.MSE
-    elif metric_token == "accuracy":
-        metric = Metric.ACCURACY
-    else:
-        raise ConfigError(f"unknown rate_metric {metric_token!r}")
-    variant_token = cfg["variant"]
-    variant = (Variant(variant_token)
-               if variant_token in {v.value for v in Variant}
-               else Variant.HEMLGOP)
-    return ProgressionConfig(
-        n_min=_read(cfg, "progression.n_min", int),
-        n_i=_read(cfg, "progression.n_i", int),
-        max_layer_width=_read(cfg, "progression.max_layer_width", int),
-        eps_n=_read(cfg, "progression.eps_n", float),
-        eps_l=_read(cfg, "progression.eps_l", float),
-        rate_metric=metric,
-        variant=variant,
-        c_grid=_read(cfg, "progression.c_grid", lambda v: tuple(float(c) for c in v)),
-        train_spec=build_train_spec(cfg, seed),
-        seed=seed,
-        max_layers=_read(cfg, "progression.max_layers", int),
-    )
-
-
-def prepare_dataset(cfg: dict, seed: int):
-    d = cfg["dataset"]
-    ds = load_csv(d["path"], label_column=d["label_column"],
-                  header=bool(d["header"]))
-    ds = split_dataset(ds, _split_fractions(cfg), seed=seed,
-                       stratified=bool(cfg["split"].get("stratified", True)))
-    if d.get("standardize_features", True):
-        ds = apply_feature_standardization(ds)
-    return ds
+def prepare_dataset(run: RunConfig, seed: int):
+    d = run.dataset
+    ds = load_csv(d["path"], label_column=d["label_column"], header=d["header"])
+    ds = split_dataset(ds, run.split, seed=seed,
+                       stratified=run.split["stratified"])
+    return apply_feature_standardization(ds) if d["standardize_features"] else ds
 
 
 # ---------------------------------------------------------------------------
@@ -249,43 +270,37 @@ def _write_json(path: str, payload: dict) -> None:
     _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_trainlog(path: str, train_logs) -> None:
+def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["phase", "epoch", "lr", "train_loss", "train_accuracy",
-                     "val_loss", "val_accuracy"])
-    for label, log in train_logs:
-        for row in log.rows:
-            writer.writerow([
-                label, row.epoch, repr(row.lr), repr(row.train_loss),
-                repr(row.train_accuracy),
-                "" if row.val_loss is None else repr(row.val_loss),
-                "" if row.val_accuracy is None else repr(row.val_accuracy),
-            ])
-    _atomic_write_text(path, buf.getvalue())
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def run_single(cfg: dict, seed: int, out_dir: str) -> dict:
-    """Execute one training run and write its artifacts; returns summary."""
+def _write_trainlog(path: str, train_logs) -> None:
+    rows = ([label, row.epoch] + ["" if v is None else repr(v) for v in (
+        row.lr, row.train_loss, row.train_accuracy, row.val_loss,
+        row.val_accuracy)] for label, log in train_logs for row in log.rows)
+    _atomic_write_text(path, _csv_text(
+        ["phase", "epoch", "lr", "train_loss", "train_accuracy", "val_loss",
+         "val_accuracy"], rows))
+
+
+def run_single(run: RunConfig, seed: int, out_dir: str) -> dict:
+    """Execute one training run and write its artifacts; returns summary.
+    Nothing is written before the dataset has loaded and split."""
+    ds = prepare_dataset(run, seed)
     os.makedirs(out_dir, exist_ok=True)
-    resolved = copy.deepcopy(cfg)
-    resolved["seed"] = seed
-    resolved["out_dir"] = out_dir
-    _write_json(os.path.join(out_dir, "config.json"), resolved)
-    ds = prepare_dataset(cfg, seed)
-    variant = cfg["variant"]
-    if variant in ("pop", "pmlp"):
-        spec = build_train_spec(cfg, seed)
-        template, target, epochs = _pop_args(cfg)
-        if variant == "pop":
-            net, report = run_pop_baseline(ds, template, target, epochs,
-                                           spec, seed)
-        else:
-            net, report = run_pmlp_baseline(ds, template, target, epochs,
-                                            spec, seed)
+    _write_json(os.path.join(out_dir, "config.json"),
+                {**run.raw, "seed": seed, "out_dir": out_dir})
+    spec = dataclasses.replace(run.train, seed=seed)
+    if run.progression is None:
+        baseline = run_pop_baseline if run.variant == "pop" else run_pmlp_baseline
+        net, report = baseline(ds, **run.pop, train_spec=spec, seed=seed)
     else:
-        config = build_progression_config(cfg, seed)
-        net, report = run_progression(ds, config)
+        net, report = run_progression(ds, dataclasses.replace(
+            run.progression, train_spec=spec, seed=seed))
     save_model(net, os.path.join(out_dir, "model.json"))
     _write_json(os.path.join(out_dir, "report.json"), report.to_dict())
     _write_trainlog(os.path.join(out_dir, "trainlog.csv"), report.train_logs)
@@ -308,22 +323,19 @@ def cmd_train(args) -> int:
     if args.out:
         cfg["out_dir"] = args.out
     if args.template:
-        cfg["pop"]["template"] = _int_list("--template", args.template)
+        cfg = _merge(cfg, {"pop": {
+            "template": _int_list("--template", args.template)}})
     if args.target_mse is not None:
-        cfg["pop"]["target_mse"] = args.target_mse
-    cfg = apply_overrides(cfg, args.set)
-    validate_run_config(cfg)
-    out_dir = cfg["out_dir"]
-    if args.seeds:
-        seeds = _int_list("--seeds", args.seeds)
-    else:
-        seeds = [int(cfg["seed"])]
+        cfg = _merge(cfg, {"pop": {"target_mse": args.target_mse}})
+    run = parse_run_config(apply_overrides(cfg, args.set))
+    seeds = ([_SEED(s, "--seeds") for s in _int_list("--seeds", args.seeds)]
+             if args.seeds else [run.seed])
     if len(seeds) == 1:
-        run_single(cfg, seeds[0], out_dir)
+        run_single(run, seeds[0], run.out_dir)
         return 0
-    summaries = [run_single(cfg, seed, os.path.join(out_dir, f"seed_{seed}"))
+    summaries = [run_single(run, seed, os.path.join(run.out_dir, f"seed_{seed}"))
                  for seed in seeds]
-    _write_json(os.path.join(out_dir, "summary.json"),
+    _write_json(os.path.join(run.out_dir, "summary.json"),
                 _summarize(seeds, summaries))
     return 0
 
@@ -352,14 +364,14 @@ def _summarize(seeds, summaries) -> dict:
 def cmd_eval(args) -> int:
     net = load_model(args.model)
     if args.config:
-        cfg = apply_overrides(load_run_config(args.config), args.set)
-        validate_run_config(cfg)
-        ds = prepare_dataset(cfg, int(cfg["seed"]))
+        run = parse_run_config(
+            apply_overrides(load_run_config(args.config), args.set))
+        ds = prepare_dataset(run, run.seed)
         split = args.split
         if not ds.has_split(split):
             raise ConfigError(f"dataset has no {split!r} split")
         X, Y = ds.X_split(split), ds.targets(split)
-        loss_kind = build_train_spec(cfg, 0).loss
+        loss_kind = run.train.loss
     elif args.data:
         ds = load_csv(args.data, label_column=_label_col(args),
                       header=not args.no_header,
@@ -425,40 +437,27 @@ def step_rows(doc: dict) -> list:
     return rows
 
 
+def _markdown_text(header, rows) -> str:
+    out = ["| " + " | ".join(map(str, row)) + " |" for row in (header, *rows)]
+    out.insert(1, "|" + "---|" * len(header))
+    return "\n".join(out)
+
+
 def cmd_report(args) -> int:
     doc = load_report(args.report)
-    hist = histogram_rows(doc)
-    steps = step_rows(doc)
+    hist = (("category", "operator", "count"), histogram_rows(doc))
+    steps = (("layer", "width", "op_set", "r_value", "accepted"), step_rows(doc))
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["category", "operator", "count"])
-        writer.writerows(hist)
-        writer.writerow([])
-        writer.writerow(["layer", "width", "op_set", "r_value", "accepted"])
-        writer.writerows(steps)
+        sys.stdout.write(_csv_text(*hist) + "\r\n" + _csv_text(*steps))
     else:
-        print("| category | operator | count |")
-        print("|---|---|---|")
-        for row in hist:
-            print(f"| {row[0]} | {row[1]} | {row[2]} |")
-        print()
-        print("| layer | width | op_set | r_value | accepted |")
-        print("|---|---|---|---|---|")
-        for row in steps:
-            print(f"| {row[0]} | {row[1]} | {row[2]} | {row[3]:.6g} | {row[4]} |")
+        header, rows = steps
+        print(_markdown_text(*hist) + "\n\n" + _markdown_text(
+            header, [(*row[:3], f"{row[3]:.6g}", row[4]) for row in rows]))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["category", "operator", "count"])
-        writer.writerows(hist)
-        _atomic_write_text(os.path.join(args.out, "operator_histogram.csv"),
-                           buf.getvalue())
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["layer", "width", "op_set", "r_value", "accepted"])
-        writer.writerows(steps)
-        _atomic_write_text(os.path.join(args.out, "steps.csv"), buf.getvalue())
+        for name, table in (("operator_histogram.csv", hist),
+                            ("steps.csv", steps)):
+            _atomic_write_text(os.path.join(args.out, name), _csv_text(*table))
     return 0
 
 

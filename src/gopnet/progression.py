@@ -81,7 +81,7 @@ class ProgressionConfig:
             raise ConfigError("n_min and n_i must be >= 1")
         if self.n_min > self.max_layer_width:
             raise ConfigError("n_min exceeds max_layer_width")
-        if self.eps_n < 0 or self.eps_l < 0:
+        if not (self.eps_n >= 0 and self.eps_l >= 0):
             raise ConfigError("improvement thresholds must be >= 0")
         if self.max_layers < 1:
             raise ConfigError("max_layers must be >= 1")
@@ -139,9 +139,6 @@ class ProgressionReport:
     train_logs: list = field(default_factory=list)  # (label, TrainLog)
     final_finetune_diverged: bool = False
     wall_time: float = 0.0
-
-    def accepted_blocks(self) -> int:
-        return sum(1 for s in self.steps if s.accepted)
 
     def to_dict(self) -> dict:
         """Serializable report; wall-clock fields are omitted so identical
@@ -244,6 +241,10 @@ def search_operator_set(width: int, fan_in: int, library,
     concatenation of committed features and its own.  Ties go to the lowest
     operator index.
     """
+    for features in (existing, existing_val):
+        if features is not None and not np.isfinite(features).all():
+            raise AllCandidatesFailed(
+                f"committed features of layer {layer_index} are non-finite")
     best: SearchResult | None = None
     indices, scores = [], []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -276,7 +277,7 @@ def search_operator_set(width: int, fan_in: int, library,
                 result = evaluate_candidate(H_full, Y, config.c_grid,
                                             config.rate_metric, H_full_val,
                                             Y_val)
-            except (SingularSystem, np.linalg.LinAlgError, ValueError):
+            except (SingularSystem, np.linalg.LinAlgError):
                 scores.append(None)
                 continue
             scores.append(result.score)

@@ -24,31 +24,20 @@ class Metric(Enum):
     ACCURACY = "accuracy"
 
 
-@dataclass(frozen=True)
-class RidgeProblem:
-    H: np.ndarray  # [N, d]
-    Y: np.ndarray  # [N, C]
-    c: float
-
-    def __post_init__(self):
-        if self.H.ndim != 2 or self.Y.ndim != 2:
-            raise DimensionMismatch("H and Y must be 2-D")
-        if self.H.shape[0] != self.Y.shape[0]:
-            raise DimensionMismatch(
-                f"H has {self.H.shape[0]} rows, Y has {self.Y.shape[0]}")
-        if self.H.shape[0] < 1 or self.H.shape[1] < 1 or self.Y.shape[1] < 1:
-            raise DimensionMismatch("H and Y need at least one row and column")
-        if self.c < 0:
-            raise ValueError("ridge coefficient must be non-negative")
-        if not (np.isfinite(self.H).all() and np.isfinite(self.Y).all()):
-            raise ValueError("H and Y must be finite")
-
-
 def solve_ridge(H: np.ndarray, Y: np.ndarray, c: float = 0.0) -> np.ndarray:
     """Ridge solution B [d, C] minimizing ||H B - Y||^2 + c ||B||^2."""
     H = np.ascontiguousarray(H, dtype=float)
     Y = np.ascontiguousarray(Y, dtype=float)
-    RidgeProblem(H, Y, c)
+    if H.ndim != 2 or Y.ndim != 2:
+        raise DimensionMismatch("H and Y must be 2-D")
+    if H.shape[0] != Y.shape[0]:
+        raise DimensionMismatch(f"H has {H.shape[0]} rows, Y has {Y.shape[0]}")
+    if H.shape[0] < 1 or H.shape[1] < 1 or Y.shape[1] < 1:
+        raise DimensionMismatch("H and Y need at least one row and column")
+    if c < 0:
+        raise ValueError("ridge coefficient must be non-negative")
+    if not (np.isfinite(H).all() and np.isfinite(Y).all()):
+        raise ValueError("H and Y must be finite")
     n, d = H.shape
     if c == 0.0:
         return _pinv_solve(H, Y)

@@ -50,8 +50,8 @@ class TrainSpec:
         last = None
         for stage in self.lr_schedule:
             lr, epochs = stage
-            if lr < 0:
-                raise ConfigError("learning rates must be non-negative")
+            if not 0 <= lr < np.inf:
+                raise ConfigError("learning rates must be finite and >= 0")
             if last is not None and lr > last:
                 raise ConfigError("learning rates must be non-increasing")
             if int(epochs) < 1:
@@ -62,6 +62,12 @@ class TrainSpec:
         for p in (self.dropout_hidden, self.dropout_input):
             if not 0.0 <= p < 1.0:
                 raise ConfigError("dropout rates must lie in [0, 1)")
+        if isinstance(self.weight_reg, MaxNorm) and not (
+                0 < self.weight_reg.limit < np.inf):
+            raise ConfigError("max-norm limit must be finite and > 0")
+        if isinstance(self.weight_reg, Decay) and not (
+                0 <= self.weight_reg.lam < np.inf):
+            raise ConfigError("weight decay must be finite and >= 0")
 
 
 @dataclass(frozen=True)

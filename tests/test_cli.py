@@ -1,11 +1,17 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from gopnet.cli import main
+import gopnet.cli as cli
+from gopnet.cli import DEFAULT_CONFIG, main
 from gopnet.network import _atomic_write_text, load_model
-from gopnet.synth import two_moons
+from gopnet.progression import ProgressionConfig, run_progression
+from gopnet.synth import as_dataset, two_moons
+from gopnet.training import TrainSpec
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +163,76 @@ class TestTrain:
         path = tmp_path / "v.json"
         path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(path)]) == 2
+
+
+def config_items(node=DEFAULT_CONFIG, prefix=""):
+    """(dotted key, default) of every section and key of the config."""
+    items = []
+    for key, value in node.items():
+        items.append((prefix + key, value))
+        if isinstance(value, dict):
+            items += config_items(value, f"{prefix}{key}.")
+    return items
+
+
+CONFIG_KEYS = [key for key, _ in config_items()]
+# No "/" or "." in generated strings, so a generated out_dir stays inside
+# the example's working directory (the defaults' "runs/latest" is relative).
+TOKENS = st.text(alphabet="ab01-", max_size=4) | st.sampled_from([
+    "hemlgop", "hemlrn", "pop", "pmlp", "label", "none", "max-norm", "decay",
+    "loss", "accuracy", "mse", "cross-entropy"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | TOKENS
+    | st.sampled_from([value for _, value in config_items()]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(TOKENS, inner, max_size=3)),
+    max_leaves=6)
+
+
+class TestConfigFuzz:
+    @pytest.fixture(scope="class")
+    def tiny_run(self, tmp_path_factory):
+        """A run config over a tiny CSV, and a trained (net, report) that
+        the stubbed compute entry points hand back."""
+        root = tmp_path_factory.mktemp("fuzz")
+        X, y = two_moons(24, 0.1, seed=0)
+        rows = ["x1,x2,label"] + [f"{a!r},{b!r},c{c}"
+                                  for (a, b), c in zip(X.tolist(), y)]
+        (root / "tiny.csv").write_text("\n".join(rows) + "\n")
+        (root / "run.json").write_text(json.dumps(
+            {"dataset": {"path": str(root / "tiny.csv")}}))
+        trained = run_progression(
+            as_dataset(X, y, {"train": 0.6, "val": 0.2, "test": 0.2}),
+            ProgressionConfig(n_min=1, max_layers=1, op_set_indices=(0,),
+                              train_spec=TrainSpec(lr_schedule=((0.01, 1),))))
+        return root, trained
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(overrides=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS),
+                                        JSON_VALUES), min_size=1, max_size=3))
+    @example(overrides=[("dataset.path", [1])])
+    @example(overrides=[("out_dir", 5)])
+    @example(overrides=[("progression.n_min", True)])
+    @example(overrides=[("split.train", -0.2), ("split.val", 0.6)])
+    @example(overrides=[("dataset.label_column", [1])])
+    def test_any_override_exits_0_2_or_3_without_traceback(
+            self, tiny_run, monkeypatch, capsys, overrides):
+        root, trained = tiny_run
+        for name in ("run_progression", "run_pop_baseline", "run_pmlp_baseline"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: trained)
+        work = tempfile.mkdtemp(dir=root)
+        monkeypatch.chdir(work)
+        args = ["train", "--config", str(root / "run.json"), "--out", "out"]
+        for key, value in overrides:
+            args += ["--set", f"{key}={json.dumps(value)}"]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3)
+        assert "Traceback" not in captured.out + captured.err
+        if code == 2:
+            written = [files for _, _, files in os.walk(work)]
+            assert not any("config.json" in files for files in written)
 
 
 class TestEval:

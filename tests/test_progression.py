@@ -6,7 +6,12 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from gopnet.data import one_hot
-from gopnet.errors import ConfigError, DegenerateBaseline, NonFiniteLoss
+from gopnet.errors import (
+    AllCandidatesFailed,
+    ConfigError,
+    DegenerateBaseline,
+    NonFiniteLoss,
+)
 from gopnet.network import GopNetwork, NeuronBlock
 from gopnet.operators import (
     ActivationOp,
@@ -92,6 +97,26 @@ class TestSearchOperatorSet:
         a = search_operator_set(4, 3, library, self.X, self.Y, None, config, 0, 0)
         b = search_operator_set(4, 3, library, self.X, self.Y, None, config, 0, 1)
         assert not np.array_equal(a.weights, b.weights)
+
+    def test_candidate_value_error_propagates(self, monkeypatch):
+        import gopnet.progression as progression
+
+        def broken(*args, **kwargs):
+            raise ValueError("programming error")
+
+        monkeypatch.setattr(progression, "evaluate_candidate", broken)
+        config = fast_config()
+        with pytest.raises(ValueError, match="programming error"):
+            search_operator_set(4, 3, config.library()[:3], self.X, self.Y,
+                                None, config, 0, 0)
+
+    def test_non_finite_committed_features_fail_the_search(self):
+        config = fast_config()
+        existing = np.ones((80, 2))
+        existing[5, 1] = np.nan
+        with pytest.raises(AllCandidatesFailed, match="non-finite"):
+            search_operator_set(4, 3, config.library()[:3], self.X, self.Y,
+                                existing, config, 0, 1)
 
     def test_planted_teacher_ranks_near_top(self):
         planted = OperatorSet(NodalOp.HARMONIC, PoolOp.SUMMATION,
@@ -279,6 +304,9 @@ class TestRunProgression:
         for c in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 run_progression(ds, fast_config(c_grid=(0.1, c)))
+        for eps in ({"eps_n": float("nan")}, {"eps_l": float("nan")}):
+            with pytest.raises(ConfigError):
+                run_progression(ds, fast_config(**eps))
 
 
 def tiny_pop_dataset(seed=0):

@@ -353,9 +353,18 @@ class TestFinetune:
             TrainSpec(lr_schedule=((0.001, 5), (0.01, 5))).validate()
         with pytest.raises(ConfigError):
             TrainSpec(lr_schedule=((0.01, 0),)).validate()
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                TrainSpec(lr_schedule=((lr, 5),)).validate()
         with pytest.raises(ConfigError):
             TrainSpec(dropout_hidden=1.0).validate()
+        for reg in (MaxNorm(-1.0), MaxNorm(0.0), MaxNorm(float("inf")),
+                    MaxNorm(float("nan")), Decay(-5.0), Decay(float("inf")),
+                    Decay(float("nan"))):
+            with pytest.raises(ConfigError):
+                TrainSpec(weight_reg=reg).validate()
         TrainSpec().validate()
+        TrainSpec(weight_reg=Decay(0.0)).validate()
 
 
 class TestBatchNormInit:
