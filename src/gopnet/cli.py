@@ -254,9 +254,14 @@ def _int_list(flag: str, text: str) -> list:
                           f"got {text!r}") from None
 
 
-def prepare_dataset(run: RunConfig, seed: int):
+def load_dataset(run: RunConfig):
     d = run.dataset
-    ds = load_csv(d["path"], label_column=d["label_column"], header=d["header"])
+    return load_csv(d["path"], label_column=d["label_column"], header=d["header"])
+
+
+def prepare_dataset(run: RunConfig, ds, seed: int):
+    """Split a loaded dataset for one seed, standardizing if configured."""
+    d = run.dataset
     ds = split_dataset(ds, run.split, seed=seed,
                        stratified=run.split["stratified"])
     return apply_feature_standardization(ds) if d["standardize_features"] else ds
@@ -287,10 +292,10 @@ def _write_trainlog(path: str, train_logs) -> None:
          "val_accuracy"], rows))
 
 
-def run_single(run: RunConfig, seed: int, out_dir: str) -> dict:
-    """Execute one training run and write its artifacts; returns summary.
-    Nothing is written before the dataset has loaded and split."""
-    ds = prepare_dataset(run, seed)
+def run_single(run: RunConfig, loaded, seed: int, out_dir: str) -> dict:
+    """Execute one training run on the loaded dataset and write its artifacts;
+    returns summary.  Nothing is written before the dataset has split."""
+    ds = prepare_dataset(run, loaded, seed)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "config.json"),
                 {**run.raw, "seed": seed, "out_dir": out_dir})
@@ -330,10 +335,12 @@ def cmd_train(args) -> int:
     run = parse_run_config(apply_overrides(cfg, args.set))
     seeds = ([_SEED(s, "--seeds") for s in _int_list("--seeds", args.seeds)]
              if args.seeds else [run.seed])
+    loaded = load_dataset(run)
     if len(seeds) == 1:
-        run_single(run, seeds[0], run.out_dir)
+        run_single(run, loaded, seeds[0], run.out_dir)
         return 0
-    summaries = [run_single(run, seed, os.path.join(run.out_dir, f"seed_{seed}"))
+    summaries = [run_single(run, loaded, seed,
+                            os.path.join(run.out_dir, f"seed_{seed}"))
                  for seed in seeds]
     _write_json(os.path.join(run.out_dir, "summary.json"),
                 _summarize(seeds, summaries))
@@ -366,7 +373,7 @@ def cmd_eval(args) -> int:
     if args.config:
         run = parse_run_config(
             apply_overrides(load_run_config(args.config), args.set))
-        ds = prepare_dataset(run, run.seed)
+        ds = prepare_dataset(run, load_dataset(run), run.seed)
         split = args.split
         if not ds.has_split(split):
             raise ConfigError(f"dataset has no {split!r} split")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -281,22 +281,14 @@ def search_operator_set(width: int, fan_in: int, library,
                 scores.append(None)
                 continue
             scores.append(result.score)
-            if best is None or _score_better(result.score, best.score,
-                                             config.rate_metric):
+            if best is None or config.rate_metric.better(result.score,
+                                                         best.score):
                 best = SearchResult(op_set, W, b, mean, std, result.B,
                                     result.score, indices, scores)
     if best is None:
         raise AllCandidatesFailed(
             f"all {len(library)} operator-set candidates failed")
-    best.candidate_indices = indices
-    best.candidate_scores = scores
     return best
-
-
-def _score_better(score: float, incumbent: float, metric: Metric) -> bool:
-    if metric is Metric.MSE:
-        return score < incumbent
-    return score > incumbent
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +393,8 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
         found = search_operator_set(
             width, fan_in, step_library, X_layer, ctx.Y_train, existing,
             config, layer_index, step, X_layer_val, ctx.Y_val, existing_val)
-        net = _commit_candidate(net, layer_index, found, X_layer.shape[1]
-                                if layer_index == 0 else net.input_dim, n_classes)
+        net = _commit_candidate(net, layer_index, found, ctx.X_train.shape[1],
+                                n_classes)
         layer = net.hidden[layer_index]
         diverged = False
         if config.variant in _STEP_FINETUNED:
@@ -464,31 +456,30 @@ def run_progression(dataset: Dataset, config: ProgressionConfig):
     report = ProgressionReport(variant=config.variant.value, seed=config.seed)
     ctx = _GrowthContext(X_train, Y_train, X_val, Y_val, config, report)
 
-    null_baseline = _null_baseline(ctx)
-    net, layer_metric = grow_layer(None, 0, ctx, null_baseline)
-    r_first = _rate_or_zero(null_baseline, layer_metric, config.rate_metric)
-    report.layers.append(LayerRecord(0, net.hidden[0].width, float(r_first), True))
-    layer_baseline = layer_metric
-    while len(net.hidden) < config.max_layers:
-        if layer_baseline == 0 and config.rate_metric is Metric.MSE:
-            break
+    # the first layer is always kept, as the first block of a layer is
+    net = None
+    baseline = _null_baseline(ctx)
+    for layer_index in range(config.max_layers):
         snapshot = copy.deepcopy(net)
-        layer_index = len(net.hidden)
         try:
-            net, new_metric = grow_layer(net, layer_index, ctx, layer_baseline)
+            net, layer_metric = grow_layer(net, layer_index, ctx, baseline)
         except NonFiniteLoss:
+            if layer_index == 0:
+                raise
             # the new layer diverged before holding any committed block
             net = snapshot
             report.layers.append(LayerRecord(layer_index, 0, -1.0, False))
             break
-        r_layer = _rate_or_zero(layer_baseline, new_metric, config.rate_metric)
-        accepted = r_layer >= config.eps_l
+        r_layer = _rate_or_zero(baseline, layer_metric, config.rate_metric)
+        accepted = layer_index == 0 or r_layer >= config.eps_l
         report.layers.append(LayerRecord(
             layer_index, net.hidden[layer_index].width, float(r_layer), accepted))
         if not accepted:
             net = snapshot
             break
-        layer_baseline = new_metric
+        baseline = layer_metric
+        if baseline == 0 and config.rate_metric is Metric.MSE:
+            break  # perfect fit; further rates are undefined
 
     for layer in net.hidden:
         init_batchnorm_from_standardization(layer)
@@ -618,17 +609,12 @@ def _train_shln(X, Y, width, hidden_op, output_op, epochs, base_spec: TrainSpec,
         _identity_norm(n_classes))
     net = GopNetwork(fan_in, [hidden, output], np.eye(n_classes),
                      np.zeros(n_classes))
-    spec = TrainSpec(lr_schedule=((base_spec.lr_schedule[0][0], epochs),),
-                     batch_size=base_spec.batch_size,
-                     dropout_hidden=base_spec.dropout_hidden,
-                     dropout_input=base_spec.dropout_input,
-                     weight_reg=base_spec.weight_reg,
-                     loss=base_spec.loss, seed=seed)
-    selection = TrainableSelection(frozenset({(0, 0), (1, 0)}),
-                                   include_output=False, include_norm=False)
+    spec = replace(base_spec, seed=seed,
+                   lr_schedule=((base_spec.lr_schedule[0][0], epochs),))
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            finetune(net, (X, Y), None, spec, selection)
+            finetune(net, (X, Y), None, spec,
+                     TrainableSelection.all_blocks(net, include_output=False))
         except NonFiniteLoss:
             return net, float("inf")
         mse, _ = evaluate_metrics(net, X, Y, base_spec.loss)
@@ -645,7 +631,7 @@ def run_pop_baseline(dataset: Dataset, template, target_mse: float,
         library = enumerate_operator_sets()
     return _pop_progression(dataset, template, target_mse, epochs,
                             train_spec or TrainSpec(), seed, library,
-                            variant="pop", log_search=True)
+                            variant="pop")
 
 
 def run_pmlp_baseline(dataset: Dataset, template, target_mse: float,
@@ -654,70 +640,57 @@ def run_pmlp_baseline(dataset: Dataset, template, target_mse: float,
     """POP restricted to the perceptron operator set; no operator search."""
     return _pop_progression(dataset, template, target_mse, epochs,
                             train_spec or TrainSpec(), seed, [PERCEPTRON_SET],
-                            variant="pmlp", log_search=False)
+                            variant="pmlp")
 
 
 def _pop_progression(dataset: Dataset, template, target_mse, epochs,
-                     train_spec, seed, library, variant, log_search):
+                     train_spec, seed, library, variant):
     if not template:
         raise ConfigError("template must list at least one hidden width")
     started = time.perf_counter()
     X_train = dataset.X_split("train")
     Y_train = dataset.targets("train")
     report = PopReport(variant=variant, seed=seed)
+    # POP logs its operator search; PMLP, which has none, its layer trainings
+    trainings = (report.candidate_trainings if variant == "pop"
+                 else report.layer_trainings)
     committed: list[GopLayer] = []
     X_cur = X_train
-    best_shln = None
     met_target = False
 
     for li, width in enumerate(template):
         best = None  # (mse, hidden_op, output_op, net)
 
-        def consider(net, mse, h_op, o_op, gis_pass, role):
+        def consider(ops, gis_pass, role, seed_parts):
             nonlocal best
-            record = PopCandidateRecord(li, gis_pass, role, h_op, o_op, mse)
-            if log_search:
-                report.candidate_trainings.append(record)
-            else:
-                report.layer_trainings.append(record)
+            net, mse = _train_shln(X_cur, Y_train, width, ops["hidden"],
+                                   ops["output"], epochs, train_spec,
+                                   derive_seed(seed, li, *seed_parts))
+            trainings.append(PopCandidateRecord(
+                li, gis_pass, role, ops["hidden"], ops["output"], mse))
             if best is None or mse < best[0]:
-                best = (mse, h_op, o_op, net)
+                best = (mse, ops["hidden"], ops["output"], net)
+            return mse
 
         if len(library) == 1:
-            op = library[0]
-            net, mse = _train_shln(X_cur, Y_train, width, op, op, epochs,
-                                   train_spec, derive_seed(seed, li, 0, 0, 0))
-            consider(net, mse, op, op, 0, "train")
+            consider({"hidden": library[0], "output": library[0]}, 0, "train",
+                     (0, 0, 0))
         else:
+            # GIS: each pass picks the best output operator for the current
+            # hidden one, then the best hidden operator for that output one
             rng = np.random.default_rng(np.random.SeedSequence([seed, li]))
-            hidden_op = library[int(rng.integers(len(library)))]
+            ops = {"hidden": library[int(rng.integers(len(library)))]}
             for gis_pass in (1, 2):
-                loop_best = None
-                for cand in library:
-                    net, mse = _train_shln(
-                        X_cur, Y_train, width, hidden_op, cand, epochs,
-                        train_spec,
-                        derive_seed(seed, li, gis_pass, 0, cand.index))
-                    consider(net, mse, hidden_op, cand, gis_pass, "output")
-                    if loop_best is None or mse < loop_best[0]:
-                        loop_best = (mse, cand)
-                output_op = loop_best[1]
-                loop_best = None
-                for cand in library:
-                    net, mse = _train_shln(
-                        X_cur, Y_train, width, cand, output_op, epochs,
-                        train_spec,
-                        derive_seed(seed, li, gis_pass, 1, cand.index))
-                    consider(net, mse, cand, output_op, gis_pass, "hidden")
-                    if loop_best is None or mse < loop_best[0]:
-                        loop_best = (mse, cand)
-                hidden_op = loop_best[1]
+                for part, role in enumerate(("output", "hidden")):
+                    mses = [consider({**ops, role: cand}, gis_pass, role,
+                                     (gis_pass, part, cand.index))
+                            for cand in library]
+                    ops[role] = library[int(np.argmin(mses))]
 
         mse, h_op, o_op, shln = best
         met_target = mse <= target_mse
         report.layer_summaries.append(
             PopLayerSummary(li, width, h_op, o_op, mse, met_target))
-        best_shln = shln
         if met_target:
             break
         if li < len(template) - 1:
@@ -728,10 +701,9 @@ def _pop_progression(dataset: Dataset, template, target_mse, epochs,
         report.template_exhausted = True
 
     n_classes = Y_train.shape[1]
-    net = GopNetwork(dataset.X.shape[1], committed + list(best_shln.hidden),
+    net = GopNetwork(dataset.X.shape[1], committed + list(shln.hidden),
                      np.eye(n_classes), np.zeros(n_classes))
-    selection = TrainableSelection.all_blocks(net, include_output=False,
-                                              include_norm=False)
+    selection = TrainableSelection.all_blocks(net, include_output=False)
     snapshot = copy.deepcopy(net)
     try:
         log = finetune(net, (X_train, Y_train),

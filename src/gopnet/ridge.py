@@ -23,6 +23,12 @@ class Metric(Enum):
     MSE = "mse"
     ACCURACY = "accuracy"
 
+    def better(self, score: float, incumbent: float) -> bool:
+        """Whether score beats incumbent: loss shrinks, accuracy grows."""
+        if self is Metric.MSE:
+            return score < incumbent
+        return score > incumbent
+
 
 def solve_ridge(H: np.ndarray, Y: np.ndarray, c: float = 0.0) -> np.ndarray:
     """Ridge solution B [d, C] minimizing ||H B - Y||^2 + c ||B||^2."""
@@ -92,9 +98,8 @@ def _score(P: np.ndarray, Y: np.ndarray, metric: Metric) -> float:
 def _better(score, c, best: CandidateResult | None, metric: Metric) -> bool:
     if best is None:
         return True
-    if metric is Metric.MSE:
-        return score < best.score or (score == best.score and c > best.best_c)
-    return score > best.score or (score == best.score and c > best.best_c)
+    return metric.better(score, best.score) or (
+        score == best.score and c > best.best_c)
 
 
 def evaluate_candidate(H: np.ndarray, Y: np.ndarray, c_grid,

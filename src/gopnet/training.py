@@ -54,8 +54,8 @@ class TrainSpec:
                 raise ConfigError("learning rates must be finite and >= 0")
             if last is not None and lr > last:
                 raise ConfigError("learning rates must be non-increasing")
-            if int(epochs) < 1:
-                raise ConfigError("epochs per stage must be positive")
+            if not 1 <= epochs < np.inf or int(epochs) != epochs:
+                raise ConfigError("epochs per stage must be a whole number >= 1")
             last = lr
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
@@ -72,32 +72,26 @@ class TrainSpec:
 
 @dataclass(frozen=True)
 class TrainableSelection:
-    """Which parameters finetune may update."""
+    """Which parameters finetune may update; a selected block of a
+    batch-norm layer also trains its columns' scale and shift."""
 
     block_refs: frozenset  # of (layer_index, block_index)
     include_output: bool = True
-    include_norm: bool = True
 
     @classmethod
-    def all_blocks(cls, net: GopNetwork, include_output: bool = True,
-                   include_norm: bool = True) -> "TrainableSelection":
+    def all_blocks(cls, net: GopNetwork,
+                   include_output: bool = True) -> "TrainableSelection":
         refs = frozenset(
             (li, bi)
             for li, layer in enumerate(net.hidden)
             for bi in range(len(layer.blocks))
         )
-        return cls(refs, include_output, include_norm)
+        return cls(refs, include_output)
 
     @classmethod
     def single_block(cls, layer_index: int, block_index: int,
-                     include_output: bool = True,
-                     include_norm: bool = True) -> "TrainableSelection":
-        return cls(frozenset({(layer_index, block_index)}), include_output,
-                   include_norm)
-
-    @classmethod
-    def output_only(cls) -> "TrainableSelection":
-        return cls(frozenset(), include_output=True, include_norm=False)
+                     include_output: bool = True) -> "TrainableSelection":
+        return cls(frozenset({(layer_index, block_index)}), include_output)
 
     def validate(self, net: GopNetwork) -> None:
         for li, bi in self.block_refs:
@@ -139,10 +133,6 @@ class TrainLogRow:
 @dataclass
 class TrainLog:
     rows: list = field(default_factory=list)
-
-    @property
-    def final(self) -> TrainLogRow:
-        return self.rows[-1]
 
     def as_records(self) -> list[dict]:
         return [vars(r).copy() for r in self.rows]
@@ -200,7 +190,7 @@ def _live_columns(layer: GopLayer, layer_index: int,
                   selection: TrainableSelection) -> np.ndarray:
     """Columns normalized with batch statistics during training."""
     live = np.zeros(layer.width, dtype=bool)
-    if not selection.include_norm or layer.norm.mode is not NormMode.BATCHNORM:
+    if layer.norm.mode is not NormMode.BATCHNORM:
         return live
     for bi in range(len(layer.blocks)):
         if (layer_index, bi) in selection.block_refs:
@@ -307,11 +297,10 @@ def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
             dH_raw[:, cache.live] = (
                 dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)
             ) / cache.sigma
-            if selection.include_norm:
-                dscale_cols = (d_live * xhat).sum(axis=0)
-                dshift_cols = d_live.sum(axis=0)
-                _scatter_norm_grads(grads, layer, li, cache.live, dscale_cols,
-                                    dshift_cols, selection)
+            dscale_cols = (d_live * xhat).sum(axis=0)
+            dshift_cols = d_live.sum(axis=0)
+            _scatter_norm_grads(grads, layer, li, cache.live, dscale_cols,
+                                dshift_cols, selection)
         need_dinputs = li > lowest
         dinputs = np.zeros_like(cache.inputs) if need_dinputs else None
         for bi, block in enumerate(layer.blocks):
@@ -424,8 +413,7 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
                     hits += int((P.argmax(axis=1) == Y[idx].argmax(axis=1)).sum())
                     grads = _backward_from_caches(net, caches, dP, selection)
                 _apply_update(net, grads, lr, spec, selection)
-                if selection.include_norm:
-                    _update_running_stats(net, caches)
+                _update_running_stats(net, caches)
             val_loss = val_acc = None
             if data_val is not None:
                 val_loss, val_acc = evaluate_metrics(

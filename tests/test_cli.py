@@ -116,6 +116,27 @@ class TestTrain:
         for seed in (1, 2):
             assert os.path.exists(os.path.join(out, f"seed_{seed}", "model.json"))
 
+    def test_seed_sweep_loads_the_csv_once(self, tmp_path, run_config,
+                                           monkeypatch):
+        loads = []
+
+        def counted(*args, load_csv=cli.load_csv, **kwargs):
+            loads.append(args)
+            return load_csv(*args, **kwargs)
+
+        X, y = two_moons(24, 0.1, seed=0)
+        trained = run_progression(
+            as_dataset(X, y, {"train": 0.6, "val": 0.2, "test": 0.2}),
+            ProgressionConfig(n_min=1, max_layers=1, op_set_indices=(0,),
+                              train_spec=TrainSpec(lr_schedule=((0.01, 1),))))
+        monkeypatch.setattr(cli, "load_csv", counted)
+        monkeypatch.setattr(cli, "run_progression", lambda *a, **k: trained)
+        out = tmp_path / "sweep"
+        assert main(["train", "--config", run_config, "--out", str(out),
+                     "--seeds", "1,2,3"]) == 0
+        assert len(loads) == 1
+        assert len(list(out.glob("seed_*/config.json"))) == 3
+
     def test_pmlp_dispatch(self, tmp_path, run_config):
         out = str(tmp_path / "pmlp")
         code = main(["train", "--config", run_config, "--variant", "pmlp",

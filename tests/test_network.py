@@ -229,7 +229,7 @@ class TestCounting:
         net = random_network(rng)
         X = rng.normal(size=(8, 3))
         Y = one_hot(rng.integers(0, 2, size=8), 2)
-        selection = TrainableSelection.all_blocks(net, include_norm=False)
+        selection = TrainableSelection.all_blocks(net)
         grads = backward(net, X, Y, selection)
         assert grads.n_scalars() == net.count_params()
 

@@ -21,6 +21,7 @@ from gopnet.operators import (
     PoolOp,
 )
 from gopnet.progression import (
+    LayerRecord,
     Metric,
     ProgressionConfig,
     Variant,
@@ -45,6 +46,18 @@ def fast_config(**kw):
                 max_layers=2, seed=0)
     base.update(kw)
     return ProgressionConfig(**base)
+
+
+def diverge_step(monkeypatch, seed, layer, step):
+    """Make the finetune of (layer, step) corrupt its new block and diverge."""
+    import gopnet.progression as progression
+
+    def fake(net, data_train, data_val, spec, selection):
+        if spec.seed == derive_seed(seed, 1, layer, step):
+            net.hidden[layer].blocks[-1].weights[:] = np.nan
+            raise NonFiniteLoss("diverged", epoch=0)
+        return finetune(net, data_train, data_val, spec, selection)
+    monkeypatch.setattr(progression, "finetune", fake)
 
 
 def blob_dataset(seed=0, n=160, val=True, separation=8.0):
@@ -184,6 +197,31 @@ class TestGrowthStopping:
         assert net_a.to_json() == net_b.to_json()
         assert len(report_a.steps) == len(report_b.steps) + 1
         assert not report_a.steps[-1].accepted
+
+    def test_first_layer_divergence_raises(self, monkeypatch):
+        diverge_step(monkeypatch, 5, layer=0, step=0)
+        with pytest.raises(NonFiniteLoss):
+            run_progression(blob_dataset(seed=5), fast_config(seed=5))
+
+    def test_new_layer_divergence_keeps_the_previous_layers(self, monkeypatch):
+        ds = blob_dataset(seed=5)
+        one_layer, _ = run_progression(ds, fast_config(seed=5, max_layers=1))
+        diverge_step(monkeypatch, 5, layer=1, step=0)
+        net, report = run_progression(ds, fast_config(seed=5, max_layers=2))
+        assert report.layers[-1] == LayerRecord(1, 0, -1.0, False)
+        assert net.to_json() == one_layer.to_json()
+
+    def test_later_step_divergence_is_rejected_and_rolled_back(self,
+                                                               monkeypatch):
+        ds = blob_dataset(seed=5)
+        one_block, _ = run_progression(ds, fast_config(
+            seed=5, max_layers=1, max_layer_width=6))
+        diverge_step(monkeypatch, 5, layer=0, step=1)
+        net, report = run_progression(ds, fast_config(seed=5, max_layers=1))
+        step = report.steps[1]
+        assert (step.accepted, step.r_value, step.metric_after) == (
+            False, -1.0, float("inf"))
+        assert net.to_json() == one_block.to_json()
 
     def test_noise_labels_stop_well_before_cap(self):
         widths = []
@@ -383,6 +421,30 @@ class TestPopBaseline:
         assert net.to_json() == skipped.to_json()
         assert report.train_logs == []
         assert np.isfinite(report.final_metrics["train"]["loss"])
+
+    def test_gis_searches_output_then_hidden_operator_per_pass(self):
+        library = [OperatorSet.from_index(i) for i in (0, 17, 101)]
+        _, report = run_pop_baseline(tiny_pop_dataset(), [3],
+                                     target_mse=float("inf"), epochs=1,
+                                     train_spec=TINY_SPEC, seed=0,
+                                     library=library)
+        records = report.candidate_trainings
+        assert [(r.gis_pass, r.role) for r in records] == [
+            (gis_pass, role) for gis_pass in (1, 2)
+            for role in ("output", "hidden") for _ in library]
+        blocks = [records[i:i + 3] for i in range(0, 12, 3)]
+        for block in blocks:
+            fixed = "hidden_op" if block[0].role == "output" else "output_op"
+            assert all(getattr(r, fixed) == getattr(block[0], fixed)
+                       for r in block)
+        for searched, following in zip(blocks, blocks[1:]):
+            role = searched[0].role + "_op"
+            winner = min(searched, key=lambda r: r.train_mse)
+            assert getattr(following[0], role) == getattr(winner, role)
+        best = min(records, key=lambda r: r.train_mse)
+        summary = report.layer_summaries[0]
+        assert (summary.hidden_op, summary.output_op, summary.train_mse) == (
+            best.hidden_op, best.output_op, best.train_mse)
 
     def test_empty_template_rejected(self):
         with pytest.raises(ConfigError):

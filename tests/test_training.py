@@ -88,7 +88,7 @@ class TestBackward:
         net.output_bias[:] = 0.0
         X = rng.normal(size=(6, 3))
         Y = np.zeros((6, 2))
-        grads = backward(net, X, Y, TrainableSelection.output_only())
+        grads = backward(net, X, Y, TrainableSelection(frozenset()))
         assert_array_equal(grads.output[0], np.zeros_like(net.output_weights))
         assert_array_equal(grads.output[1], np.zeros_like(net.output_bias))
 
@@ -223,7 +223,7 @@ class TestBackward:
         net = build_net(rng, PERCEPTRON)
         X = rng.normal(size=(5, 3))
         Y = one_hot(rng.integers(0, 2, size=5), 2)
-        grads = backward(net, X, Y, TrainableSelection.output_only())
+        grads = backward(net, X, Y, TrainableSelection(frozenset()))
         assert grads.blocks == {} and grads.norm == {}
         assert grads.output is not None
 
@@ -282,7 +282,7 @@ class TestFinetune:
         spec = TrainSpec(lr_schedule=((0.5, 150), (0.1, 150)), batch_size=60,
                          dropout_hidden=0.0, dropout_input=0.0,
                          weight_reg=None, seed=0)
-        finetune(net, (X, Y), None, spec, TrainableSelection.output_only())
+        finetune(net, (X, Y), None, spec, TrainableSelection(frozenset()))
         final, _ = evaluate_metrics(net, X, Y)
         assert final <= optimum + 1e-3
 
@@ -321,8 +321,7 @@ class TestFinetune:
         spec = TrainSpec(lr_schedule=((0.1, 3),), dropout_hidden=0.0,
                          dropout_input=0.0, weight_reg=Decay(0.1), seed=0)
         finetune(net, (X, Y), None, spec,
-                 TrainableSelection.single_block(0, 0, include_output=False,
-                                                 include_norm=False))
+                 TrainableSelection.single_block(0, 0, include_output=False))
         after = np.abs(net.hidden[0].blocks[0].weights).sum()
         assert after < before
 
@@ -351,8 +350,9 @@ class TestFinetune:
             TrainSpec(lr_schedule=()).validate()
         with pytest.raises(ConfigError):
             TrainSpec(lr_schedule=((0.001, 5), (0.01, 5))).validate()
-        with pytest.raises(ConfigError):
-            TrainSpec(lr_schedule=((0.01, 0),)).validate()
+        for epochs in (0, 2.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                TrainSpec(lr_schedule=((0.01, epochs),)).validate()
         for lr in (float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 TrainSpec(lr_schedule=((lr, 5),)).validate()
