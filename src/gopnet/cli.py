@@ -30,6 +30,7 @@ from .errors import (
 )
 from .network import _atomic_write_text, load_model, save_model
 from .progression import (
+    POP_EPOCHS,
     ProgressionConfig,
     Variant,
     run_pmlp_baseline,
@@ -154,7 +155,7 @@ DEFAULT_CONFIG = {
     "out_dir": "runs/latest",
     "progression": _defaults("progression", ProgressionConfig()),
     "train": _defaults("train", TrainSpec()),
-    "pop": {"template": [200], "target_mse": 0.0, "epochs": 20},
+    "pop": {"template": [200], "target_mse": 0.0, "epochs": POP_EPOCHS},
 }
 
 

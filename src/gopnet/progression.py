@@ -21,6 +21,7 @@ from .errors import (
     AllCandidatesFailed,
     ConfigError,
     DegenerateBaseline,
+    DimensionMismatch,
     NonFiniteLoss,
     SingularSystem,
 )
@@ -231,20 +232,22 @@ def search_operator_set(width: int, fan_in: int, library,
                         existing: np.ndarray | None,
                         config: ProgressionConfig,
                         layer_index: int, step_index: int,
-                        X_layer_val: np.ndarray | None = None,
-                        Y_val: np.ndarray | None = None,
-                        existing_val: np.ndarray | None = None) -> SearchResult:
+                        Y_val: np.ndarray | None = None) -> SearchResult:
     """Evaluate every candidate operator set with random uniform weights.
 
-    Each candidate draws its weights from a deterministic per-candidate seed,
-    standardizes its raw features, and is scored by a ridge solve over the
-    concatenation of committed features and its own.  Ties go to the lowest
-    operator index.
+    ``X_layer`` and ``existing`` hold the training rows, then the validation
+    rows when ``Y_val`` is given.  Each candidate draws its weights from a
+    deterministic per-candidate seed, standardizes its raw features by the
+    training rows, and is scored by a ridge solve over the committed features
+    and its own, fitted on the training rows and scored on the validation
+    rows when present.  Ties go to the lowest operator index.
     """
-    for features in (existing, existing_val):
-        if features is not None and not np.isfinite(features).all():
-            raise AllCandidatesFailed(
-                f"committed features of layer {layer_index} are non-finite")
+    n = len(Y)
+    if len(X_layer) != n + (0 if Y_val is None else len(Y_val)):
+        raise DimensionMismatch("X_layer must hold the training, then the validation rows")
+    if existing is not None and not np.isfinite(existing).all():
+        raise AllCandidatesFailed(
+            f"committed features of layer {layer_index} are non-finite")
     best: SearchResult | None = None
     indices, scores = [], []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -257,25 +260,17 @@ def search_operator_set(width: int, fan_in: int, library,
             block = NeuronBlock(op_set, W, b)
             indices.append(op_set.index)
             H_raw = block.forward(X_layer)
-            if not np.isfinite(H_raw).all():
+            mean = H_raw[:n].mean(axis=0)
+            std = np.maximum(H_raw[:n].std(axis=0), STD_FLOOR)
+            H_bar = (H_raw - mean) / std
+            if not np.isfinite(H_bar).all():
                 scores.append(None)
                 continue
-            mean = H_raw.mean(axis=0)
-            std = np.maximum(H_raw.std(axis=0), STD_FLOOR)
-            H_bar = (H_raw - mean) / std
-            H_full = H_bar if existing is None else np.hstack([existing, H_bar])
-            H_full_val = None
-            if X_layer_val is not None:
-                H_val_raw = block.forward(X_layer_val)
-                if not np.isfinite(H_val_raw).all():
-                    scores.append(None)
-                    continue
-                H_val_bar = (H_val_raw - mean) / std
-                H_full_val = (H_val_bar if existing_val is None
-                              else np.hstack([existing_val, H_val_bar]))
+            H = H_bar if existing is None else np.hstack([existing, H_bar])
             try:
-                result = evaluate_candidate(H_full, Y, config.c_grid,
-                                            config.rate_metric, H_full_val,
+                result = evaluate_candidate(H[:n], Y, config.c_grid,
+                                            config.rate_metric,
+                                            None if Y_val is None else H[n:],
                                             Y_val)
             except (SingularSystem, np.linalg.LinAlgError):
                 scores.append(None)
@@ -309,6 +304,10 @@ class _GrowthContext:
         if self.X_val is not None:
             return self.X_val, self.Y_val
         return self.X_train, self.Y_train
+
+    @property
+    def X_rows(self) -> np.ndarray:  # training rows, then any validation rows
+        return self.X_train if self.X_val is None else np.vstack([self.X_train, self.X_val])
 
 
 def _rate_value(net: GopNetwork, ctx: _GrowthContext) -> float:
@@ -362,11 +361,7 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
     layer's first block propagates NonFiniteLoss to the caller.
     """
     config = ctx.config
-    X_layer = ctx.X_train if layer_index == 0 else net.hidden_forward(ctx.X_train)
-    X_layer_val = None
-    if ctx.X_val is not None:
-        X_layer_val = (ctx.X_val if layer_index == 0
-                       else net.hidden_forward(ctx.X_val))
+    X_layer = ctx.X_rows if layer_index == 0 else net.hidden_forward(ctx.X_rows)
     fan_in = X_layer.shape[1]
     n_classes = ctx.Y_train.shape[1]
     library = config.library()
@@ -383,16 +378,11 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
             step_library = library
         else:
             step_library = [net.hidden[layer_index].blocks[0].op_set]
-        existing = existing_val = None
-        if step > 0:
-            layer = net.hidden[layer_index]
-            with np.errstate(over="ignore", invalid="ignore"):
-                existing = layer.forward(X_layer)
-                if X_layer_val is not None:
-                    existing_val = layer.forward(X_layer_val)
+        with np.errstate(over="ignore", invalid="ignore"):
+            existing = net.hidden[layer_index].forward(X_layer) if step > 0 else None
         found = search_operator_set(
             width, fan_in, step_library, X_layer, ctx.Y_train, existing,
-            config, layer_index, step, X_layer_val, ctx.Y_val, existing_val)
+            config, layer_index, step, ctx.Y_val)
         net = _commit_candidate(net, layer_index, found, ctx.X_train.shape[1],
                                 n_classes)
         layer = net.hidden[layer_index]
@@ -577,6 +567,9 @@ class PopReport:
         }
 
 
+POP_EPOCHS = 20  # SGD epochs per single-hidden-layer training
+
+
 def _identity_norm(width: int) -> NormState:
     return NormState(mean=np.zeros(width), std=np.ones(width),
                      scale=np.ones(width), shift=np.zeros(width))
@@ -624,7 +617,7 @@ def _train_shln(X, Y, width, hidden_op, output_op, epochs, base_spec: TrainSpec,
 
 
 def run_pop_baseline(dataset: Dataset, template, target_mse: float,
-                     epochs: int = 20, train_spec: TrainSpec | None = None,
+                     epochs: int = POP_EPOCHS, train_spec: TrainSpec | None = None,
                      seed: int = 0, library=None):
     """Layerwise two-pass greedy operator search with a fixed width template."""
     if library is None:
@@ -635,7 +628,7 @@ def run_pop_baseline(dataset: Dataset, template, target_mse: float,
 
 
 def run_pmlp_baseline(dataset: Dataset, template, target_mse: float,
-                      epochs: int = 20, train_spec: TrainSpec | None = None,
+                      epochs: int = POP_EPOCHS, train_spec: TrainSpec | None = None,
                       seed: int = 0):
     """POP restricted to the perceptron operator set; no operator search."""
     return _pop_progression(dataset, template, target_mse, epochs,

@@ -336,7 +336,7 @@ def _scatter_norm_grads(grads, layer, layer_index, live, dscale_cols, dshift_col
 # ---------------------------------------------------------------------------
 
 def _apply_update(net: GopNetwork, grads: Gradients, lr: float, spec: TrainSpec,
-                  selection: TrainableSelection) -> None:
+                  epoch: int) -> None:
     decay = spec.weight_reg.lam if isinstance(spec.weight_reg, Decay) else 0.0
     max_norm = spec.weight_reg.limit if isinstance(spec.weight_reg, MaxNorm) else None
     for (li, bi), (dW, db) in grads.blocks.items():
@@ -344,7 +344,7 @@ def _apply_update(net: GopNetwork, grads: Gradients, lr: float, spec: TrainSpec,
         block.weights -= lr * (dW + decay * block.weights)
         block.bias -= lr * db
         if max_norm is not None:
-            _project_rows(block.weights, max_norm)
+            _project_rows(block.weights, max_norm, epoch)
     for (li, bi), (dscale, dshift) in grads.norm.items():
         layer = net.hidden[li]
         sl = layer.block_slice(bi)
@@ -355,11 +355,14 @@ def _apply_update(net: GopNetwork, grads: Gradients, lr: float, spec: TrainSpec,
         net.output_weights -= lr * (dB + decay * net.output_weights)
         net.output_bias -= lr * dbias
         if max_norm is not None:
-            _project_rows(net.output_weights, max_norm)
+            _project_rows(net.output_weights, max_norm, epoch)
 
 
-def _project_rows(W: np.ndarray, limit: float) -> None:
+def _project_rows(W: np.ndarray, limit: float, epoch: int) -> None:
+    """Max-norm projection of W's rows; a non-finite norm is divergence."""
     norms = np.linalg.norm(W, axis=1)
+    if not np.isfinite(norms).all():
+        raise NonFiniteLoss(f"non-finite weight norm at epoch {epoch}", epoch=epoch)
     over = norms > limit
     if over.any():
         W[over] *= (limit / norms[over])[:, None]
@@ -412,8 +415,8 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
                     loss_sum += batch_loss * len(idx)
                     hits += int((P.argmax(axis=1) == Y[idx].argmax(axis=1)).sum())
                     grads = _backward_from_caches(net, caches, dP, selection)
-                _apply_update(net, grads, lr, spec, selection)
-                _update_running_stats(net, caches)
+                    _apply_update(net, grads, lr, spec, epoch_index)
+                    _update_running_stats(net, caches)
             val_loss = val_acc = None
             if data_val is not None:
                 val_loss, val_acc = evaluate_metrics(

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from gopnet.errors import (
     AllCandidatesFailed,
     ConfigError,
     DegenerateBaseline,
+    DimensionMismatch,
     NonFiniteLoss,
+    SingularSystem,
 )
 from gopnet.network import GopNetwork, NeuronBlock
 from gopnet.operators import (
@@ -18,6 +21,7 @@ from gopnet.operators import (
     NodalOp,
     OperatorSet,
     PERCEPTRON_SET,
+    STD_FLOOR,
     PoolOp,
 )
 from gopnet.progression import (
@@ -32,6 +36,7 @@ from gopnet.progression import (
     run_progression,
     search_operator_set,
 )
+from gopnet.ridge import evaluate_candidate
 from gopnet.synth import as_dataset, gaussian_blobs, noise_labels, two_moons
 from gopnet.training import TrainLog, TrainSpec, finetune
 
@@ -130,6 +135,68 @@ class TestSearchOperatorSet:
         with pytest.raises(AllCandidatesFailed, match="non-finite"):
             search_operator_set(4, 3, config.library()[:3], self.X, self.Y,
                                 existing, config, 0, 1)
+        # a NaN in a validation row: rows 80.. of the stacked row set
+        X_rows = np.vstack([self.X, self.X[:20]])
+        existing = np.ones((100, 2))
+        existing[85, 1] = np.nan
+        with pytest.raises(AllCandidatesFailed, match="non-finite"):
+            search_operator_set(4, 3, config.library()[:3], X_rows, self.Y,
+                                existing, config, 0, 1, self.Y[:20])
+
+    def test_validation_rows_score_candidates(self):
+        """Scores and choice equal separate train/val forwards, bit for bit."""
+        config = fast_config(rate_metric=Metric.MSE)
+        library = config.library()[::12]
+        rng = np.random.default_rng(1)
+        X_val = rng.uniform(-2, 2, size=(30, 3))
+        Y_val = one_hot((X_val[:, 0] > 0).astype(int), 2)
+        existing = rng.normal(size=(110, 5))
+        found = search_operator_set(4, 3, library, np.vstack([self.X, X_val]),
+                                    self.Y, existing, config, 0, 1, Y_val)
+        scores, fits = [], {}
+        with np.errstate(all="ignore"):
+            for op_set in library:
+                draw = np.random.default_rng(np.random.SeedSequence(
+                    [config.seed, 0, 1, op_set.index]))
+                block = NeuronBlock(op_set, draw.uniform(-1, 1, (3, 4)),
+                                    draw.uniform(-1, 1, 4))
+                H, H_val = block.forward(self.X), block.forward(X_val)
+                mean = H.mean(axis=0)
+                std = np.maximum(H.std(axis=0), STD_FLOOR)
+                H = np.hstack([existing[:80], (H - mean) / std])
+                H_val = np.hstack([existing[80:], (H_val - mean) / std])
+                if not (np.isfinite(H).all() and np.isfinite(H_val).all()):
+                    scores.append(None)
+                    continue
+                try:
+                    result = evaluate_candidate(H, self.Y, config.c_grid,
+                                                Metric.MSE, H_val, Y_val)
+                except SingularSystem:
+                    scores.append(None)
+                    continue
+                scores.append(result.score)
+                fits[op_set.index] = result.B
+        assert found.candidate_indices == [op.index for op in library]
+        assert found.candidate_scores == scores
+        finite = [(s, i) for i, s in zip(found.candidate_indices, scores)
+                  if s is not None]
+        assert found.op_set.index == min(finite)[1]
+        assert_array_equal(found.B, fits[found.op_set.index])
+
+    def test_layer_rows_must_match_the_targets(self):
+        config = fast_config()
+        with pytest.raises(DimensionMismatch):
+            search_operator_set(4, 3, config.library()[:3], self.X, self.Y,
+                                None, config, 0, 0, self.Y[:20])
+
+    def test_overflow_in_standardization_fails_the_candidate(self):
+        # finite raw features whose column mean overflows
+        config = fast_config(op_set_indices=(OperatorSet(
+            NodalOp.MULTIPLICATION, PoolOp.SUMMATION, ActivationOp.RELU).index,))
+        X = np.random.default_rng(2).uniform(0.5, 1.0, size=(80, 3)) * 1e307
+        with pytest.raises(AllCandidatesFailed, match="all 1"):
+            search_operator_set(4, 3, config.library(), X, self.Y, None,
+                                config, 0, 0)
 
     def test_planted_teacher_ranks_near_top(self):
         planted = OperatorSet(NodalOp.HARMONIC, PoolOp.SUMMATION,
@@ -222,6 +289,31 @@ class TestGrowthStopping:
         assert (step.accepted, step.r_value, step.metric_after) == (
             False, -1.0, float("inf"))
         assert net.to_json() == one_block.to_json()
+
+    @staticmethod
+    def _overflowing_run(epochs):
+        """Default growth at lr 1e4, where weight norms overflow to inf."""
+        X, y = two_moons(160)
+        ds = as_dataset(X, y, {"train": 0.6, "val": 0.2, "test": 0.2}, seed=0)
+        config = ProgressionConfig(max_layers=1, train_spec=TrainSpec(
+            lr_schedule=((1e4, epochs),)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run_progression(ds, config)
+
+    def test_weight_norm_overflow_is_divergence(self):
+        # the first block's finetune stays finite; the second step's
+        # output-weight norm overflows, and so does the final finetune's
+        _, report = self._overflowing_run(3)
+        step = report.steps[1]
+        assert (step.accepted, step.r_value, step.metric_after) == (
+            False, -1.0, float("inf"))
+        assert report.final_finetune_diverged
+
+    def test_first_block_weight_norm_overflow_raises(self):
+        with pytest.raises(NonFiniteLoss,
+                           match="first block of layer 0 diverged"):
+            self._overflowing_run(5)
 
     def test_noise_labels_stop_well_before_cap(self):
         widths = []
