@@ -38,7 +38,8 @@ class DegenerateBaseline(GopError):
 
 
 class NonFiniteLoss(GopError):
-    """Training loss became non-finite; carries the offending epoch index."""
+    """Training diverged: a loss became non-finite, or the training loss
+    exploded while staying finite; carries the offending epoch index."""
 
     def __init__(self, message: str, epoch: int):
         super().__init__(message)

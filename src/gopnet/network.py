@@ -30,6 +30,11 @@ from .operators import (
 
 MODEL_FORMAT_VERSION = 1
 
+# Byte budget of one row chunk's nodal tensor in NeuronBlock.forward.  It
+# stays below glibc's default 128 KiB mmap threshold, so the chunk buffers
+# are reused heap memory instead of pages mapped and zero-filled per call.
+FORWARD_CHUNK_BYTES = 120 * 1024
+
 
 class NormMode(Enum):
     STANDARDIZE = "standardize"
@@ -64,20 +69,36 @@ class NeuronBlock:
     def width(self) -> int:
         return self.weights.shape[1]
 
-    def forward_parts(self, inputs: np.ndarray):
-        """(Z, x, h): nodal tensor [N, fan_in, width], pre-activation and
-        output [N, width] for a batch of inputs."""
+    def _checked(self, inputs) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=float)
         if inputs.ndim != 2 or inputs.shape[1] != self.fan_in:
             raise DimensionMismatch(
                 f"block expects [N, {self.fan_in}] inputs, got {inputs.shape}")
+        return inputs
+
+    def forward_parts(self, inputs: np.ndarray):
+        """(Z, x, h): nodal tensor [N, fan_in, width], pre-activation and
+        output [N, width] for a batch of inputs."""
+        return self._parts(self._checked(inputs))
+
+    def _parts(self, inputs: np.ndarray):
         Z = nodal_forward(self.op_set.nodal, self.weights[None, :, :], inputs[:, :, None])
         x = pool_forward_batch(self.op_set.pool, Z) + self.bias
         return Z, x, activation_forward(self.op_set.activation, x)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Pre-normalization block outputs, [N, width]."""
-        return self.forward_parts(inputs)[2]
+        """Pre-normalization block outputs, [N, width].
+
+        Rows are independent, so they run in chunks whose nodal tensor fits
+        FORWARD_CHUNK_BYTES (at least one row); the output is bit-identical
+        to ``forward_parts(inputs)[2]``.
+        """
+        inputs = self._checked(inputs)
+        rows = max(1, FORWARD_CHUNK_BYTES // (8 * self.fan_in * self.width))
+        out = np.empty((len(inputs), self.width))
+        for start in range(0, len(inputs), rows):
+            out[start:start + rows] = self._parts(inputs[start:start + rows])[2]
+        return out
 
     def backward(self, inputs: np.ndarray, Z: np.ndarray, x: np.ndarray,
                  dh: np.ndarray, want_params: bool, want_inputs: bool):

@@ -140,9 +140,21 @@ class _Op:
 
 # Nodal operators: z = psi(y, w), elementwise over broadcast w and y.  Grads
 # return (dz/dw, dz/dy); each broadcasts against z but may be smaller.
+# Composite forwards run as in-place chains over a fresh product buffer, in
+# the operation order of their closed forms (DoG is w * y * exp(-w * y * y)),
+# so they round exactly as those expressions do while allocating one
+# z-sized array (two for DoG) instead of one per operation.
+
+def _product(a, y):
+    """a * y in a fresh array, also for 0-d operands."""
+    return np.multiply(a, y, out=np.empty(np.broadcast(a, y).shape))
+
 
 def _exponential(w, y):
-    return np.exp(np.clip(w * y, -EXP_CLAMP, EXP_CLAMP)) - 1.0
+    z = _product(w, y)
+    np.clip(z, -EXP_CLAMP, EXP_CLAMP, out=z)
+    np.exp(z, out=z)
+    return np.subtract(z, 1.0, out=z)
 
 
 def _exponential_grad(w, y):
@@ -152,14 +164,41 @@ def _exponential_grad(w, y):
     return y * e * live, w * e * live
 
 
+def _harmonic(w, y):
+    z = _product(w, y)
+    return np.sin(z, out=z)
+
+
 def _harmonic_grad(w, y):
     c = np.cos(w * y)
     return y * c, w * c
 
 
+def _quadratic(w, y):
+    z = _product(w, y)
+    return np.multiply(z, y, out=z)
+
+
+def _gaussian_exp(w, y):
+    """exp(-w * y * y) in a fresh array."""
+    g = _product(-w, y)
+    np.multiply(g, y, out=g)
+    return np.exp(g, out=g)
+
+
+def _gaussian(w, y):
+    g = _gaussian_exp(w, y)
+    return np.multiply(w, g, out=g)
+
+
 def _gaussian_grad(w, y):
     g = np.exp(-w * y * y)
     return g * (1.0 - w * y * y), -2.0 * w * w * y * g
+
+
+def _dog(w, y):
+    z = _product(w, y)
+    return np.multiply(z, _gaussian_exp(w, y), out=z)
 
 
 def _dog_grad(w, y):
@@ -170,12 +209,11 @@ def _dog_grad(w, y):
 _NODAL = {
     NodalOp.MULTIPLICATION: _Op(lambda w, y: w * y, lambda w, y: (y, w), 1),
     NodalOp.EXPONENTIAL: _Op(_exponential, _exponential_grad, 6),  # mul + exp + sub
-    NodalOp.HARMONIC: _Op(lambda w, y: np.sin(w * y), _harmonic_grad, 5),  # mul + sin
-    NodalOp.QUADRATIC: _Op(lambda w, y: w * y * y,
-                           lambda w, y: (y * y, 2.0 * w * y), 2),
+    NodalOp.HARMONIC: _Op(_harmonic, _harmonic_grad, 5),  # mul + sin
+    NodalOp.QUADRATIC: _Op(_quadratic, lambda w, y: (y * y, 2.0 * w * y), 2),
     # gaussian: 2 mul + neg + exp + mul
-    NodalOp.GAUSSIAN: _Op(lambda w, y: w * np.exp(-w * y * y), _gaussian_grad, 8),
-    NodalOp.DOG: _Op(lambda w, y: w * y * np.exp(-w * y * y), _dog_grad, 9),
+    NodalOp.GAUSSIAN: _Op(_gaussian, _gaussian_grad, 8),
+    NodalOp.DOG: _Op(_dog, _dog_grad, 9),
 }
 
 
@@ -192,7 +230,11 @@ def _correlation(k: int) -> _Op:
     def forward(Z):
         if Z.shape[1] <= k:
             return np.zeros((Z.shape[0], Z.shape[2]))
-        return reduce(mul, views(Z)).sum(axis=1)
+        first, second, *rest = views(Z)
+        p = first * second
+        for v in rest:
+            np.multiply(p, v, out=p)
+        return p.sum(axis=1)
 
     def grad(Z):
         g = np.zeros_like(Z)

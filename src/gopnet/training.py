@@ -18,6 +18,12 @@ from .network import GopLayer, GopNetwork, NormMode
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
 
+# finetune counts an epoch as divergence, even when every number is finite,
+# if its validation loss is non-finite or its mean training loss exceeds
+# DIVERGENCE_RATIO times the first epoch's, floored at DIVERGENCE_FLOOR.
+DIVERGENCE_RATIO = 1e3
+DIVERGENCE_FLOOR = 1e-3
+
 
 class LossKind(Enum):
     MSE = "mse"
@@ -384,7 +390,9 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
     """Mini-batch SGD over the learning-rate schedule.
 
     Dropout and batch statistics apply during training only; the network is
-    usable for inference at every point after this returns.
+    usable for inference at every point after this returns.  A non-finite
+    loss or weight norm, or an epoch that diverges by the DIVERGENCE_RATIO
+    rule, raises NonFiniteLoss.
     """
     spec.validate()
     selection.validate(net)
@@ -417,11 +425,21 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
                     grads = _backward_from_caches(net, caches, dP, selection)
                     _apply_update(net, grads, lr, spec, epoch_index)
                     _update_running_stats(net, caches)
+            train_loss = loss_sum / n
+            if epoch_index == 0:
+                loss_limit = DIVERGENCE_RATIO * max(train_loss, DIVERGENCE_FLOOR)
+            diverged = train_loss > loss_limit
             val_loss = val_acc = None
             if data_val is not None:
                 val_loss, val_acc = evaluate_metrics(
                     net, data_val[0], data_val[1], spec.loss)
-            log.rows.append(TrainLogRow(epoch_index, lr, loss_sum / n, hits / n,
+                diverged = diverged or not np.isfinite(val_loss)
+            if diverged:
+                raise NonFiniteLoss(
+                    f"training diverged at epoch {epoch_index} (training loss "
+                    f"{train_loss:.3g}, validation loss {val_loss})",
+                    epoch=epoch_index)
+            log.rows.append(TrainLogRow(epoch_index, lr, train_loss, hits / n,
                                         val_loss, val_acc))
             epoch_index += 1
     return log

@@ -89,6 +89,24 @@ class TestTrain:
         }))
         assert main(["train", "--config", str(cfg)]) == 2
 
+    def test_finite_divergence_of_the_first_block_exits_3(self, tmp_path,
+                                                           capsys):
+        X, y = two_moons(160)
+        data = tmp_path / "moons.csv"
+        data.write_text("x1,x2,label\n" + "".join(
+            f"{float(a)!r},{float(b)!r},{c}\n" for (a, b), c in zip(X, y)))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "dataset": {"path": str(data), "label_column": "label"},
+            "split": {"train": 0.6, "val": 0.2, "test": 0.2},
+            "seed": 0,
+            "progression": {**DEFAULT_CONFIG["progression"], "max_layers": 1},
+            "train": {**DEFAULT_CONFIG["train"], "lr_schedule": [[1e4, 3]]},
+        }))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "first block of layer 0 diverged" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path, run_config):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(fast_train_args(run_config, out1)) == 0

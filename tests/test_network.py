@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from gopnet import network
 from gopnet.errors import (
     ConfigError,
     DimensionMismatch,
@@ -21,7 +22,13 @@ from gopnet.network import (
     load_model,
     save_model,
 )
-from gopnet.operators import ActivationOp, NodalOp, OperatorSet, PoolOp
+from gopnet.operators import (
+    ActivationOp,
+    NodalOp,
+    OperatorSet,
+    PoolOp,
+    enumerate_operator_sets,
+)
 
 PERCEPTRON = OperatorSet(NodalOp.MULTIPLICATION, PoolOp.SUMMATION,
                          ActivationOp.SIGMOID)
@@ -72,8 +79,10 @@ class TestBlockForward:
 
     def test_dimension_mismatch(self):
         block = NeuronBlock(PERCEPTRON, np.ones((2, 3)), np.zeros(3))
-        with pytest.raises(DimensionMismatch):
-            block.forward(np.ones((4, 5)))
+        # more rows than one forward chunk: the error names the whole input
+        n = network.FORWARD_CHUNK_BYTES // (8 * 2 * 3) + 5
+        with pytest.raises(DimensionMismatch, match=rf"\({n}, 5\)"):
+            block.forward(np.ones((n, 5)))
 
     def test_forward_parts_end_in_forward(self, rng):
         op = OperatorSet(NodalOp.DOG, PoolOp.CORRELATION1, ActivationOp.TANH)
@@ -82,6 +91,23 @@ class TestBlockForward:
         Z, x, h = block.forward_parts(X)
         assert (Z.shape, x.shape) == ((6, 4, 3), (6, 3))
         assert_array_equal(h, block.forward(X))
+
+    @pytest.mark.parametrize("fan_in, width", [
+        (6, 5),
+        # one row's nodal tensor alone exceeds the budget
+        (64, network.FORWARD_CHUNK_BYTES // (8 * 64) + 1)])
+    def test_row_chunks_match_one_whole_forward(self, fan_in, width, rng):
+        chunk = max(1, network.FORWARD_CHUNK_BYTES // (8 * fan_in * width))
+        X = rng.normal(scale=2.0, size=(3 * chunk + 5, fan_in))
+        for op_set in enumerate_operator_sets():
+            block = NeuronBlock(op_set, rng.uniform(-1, 1, (fan_in, width)),
+                                rng.uniform(-1, 1, width))
+            for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+                with np.errstate(all="ignore"):
+                    chunked = block.forward(X[:n])
+                    whole = block.forward_parts(X[:n])[2]
+                assert chunked.shape == (n, width)
+                assert np.array_equal(chunked, whole, equal_nan=True), (op_set, n)
 
 
 class TestBlockBackward:

@@ -1,15 +1,19 @@
 import itertools
 import math
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gopnet.errors import EmptyInput
 from gopnet.operators import (
     _ACTIVATION,
+    EXP_CLAMP,
     _NODAL,
     _POOL,
     LIBRARY_SIZE,
@@ -25,6 +29,7 @@ from gopnet.operators import (
     nodal_grad,
     pool_flops,
     pool_forward,
+    pool_forward_batch,
     pool_grad,
 )
 
@@ -294,3 +299,59 @@ class TestCostTable:
         assert pool_flops(PoolOp.CORRELATION1, 3) == 3
         assert pool_flops(PoolOp.CORRELATION2, 3) == 2
         assert pool_flops(PoolOp.CORRELATION2, 2) == 0
+
+
+# The closed forms the in-place nodal and correlation forwards must reproduce
+# bit for bit.
+CLOSED_FORM_NODAL = {
+    NodalOp.MULTIPLICATION: lambda w, y: w * y,
+    NodalOp.EXPONENTIAL:
+        lambda w, y: np.exp(np.clip(w * y, -EXP_CLAMP, EXP_CLAMP)) - 1.0,
+    NodalOp.HARMONIC: lambda w, y: np.sin(w * y),
+    NodalOp.QUADRATIC: lambda w, y: w * y * y,
+    NodalOp.GAUSSIAN: lambda w, y: w * np.exp(-w * y * y),
+    NodalOp.DOG: lambda w, y: w * y * np.exp(-w * y * y),
+}
+
+# finite values on both sides of EXP_CLAMP, plus every special value
+OPERAND = st.one_of(st.floats(-2 * EXP_CLAMP, 2 * EXP_CLAMP),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def nodal_operands(draw):
+    """(w, y) as 0-d arrays, broadcast [1, F, W] x [N, F, 1] blocks, or two
+    full [N, F, W] tensors."""
+    n, f, w = (draw(st.integers(1, 4)) for _ in range(3))
+    shapes = draw(st.sampled_from([((), ()), ((1, f, w), (n, f, 1)),
+                                   ((n, f, w), (n, f, w))]))
+    return tuple(draw(hnp.arrays(float, shape, elements=OPERAND))
+                 for shape in shapes)
+
+
+class TestInPlaceForwards:
+    @pytest.mark.parametrize("op", list(NodalOp))
+    @given(operands=nodal_operands())
+    @settings(max_examples=80, deadline=None)
+    def test_nodal_forward_equals_its_closed_form(self, op, operands):
+        w, y = operands
+        with np.errstate(all="ignore"):
+            z = nodal_forward(op, w, y)
+            expected = CLOSED_FORM_NODAL[op](w, y)
+        assert np.shape(z) == np.shape(expected)
+        assert np.array_equal(z, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("pool, k", [(PoolOp.CORRELATION1, 1),
+                                         (PoolOp.CORRELATION2, 2)])
+    @given(Z=hnp.arrays(float, hnp.array_shapes(min_dims=3, max_dims=3,
+                                                max_side=6),
+                        elements=OPERAND))
+    @settings(max_examples=80, deadline=None)
+    def test_correlation_equals_its_closed_form(self, pool, k, Z):
+        n = Z.shape[1] - k
+        with np.errstate(all="ignore"):
+            pooled = pool_forward_batch(pool, Z)
+            expected = (reduce(mul, [Z[:, j:n + j, :] for j in range(k + 1)])
+                        .sum(axis=1) if n > 0
+                        else np.zeros((Z.shape[0], Z.shape[2])))
+        assert np.array_equal(pooled, expected, equal_nan=True)

@@ -1,11 +1,16 @@
 import copy
+import functools
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from gopnet import network
 from gopnet.data import one_hot
 from gopnet.errors import (
     AllCandidatesFailed,
@@ -291,20 +296,22 @@ class TestGrowthStopping:
         assert net.to_json() == one_block.to_json()
 
     @staticmethod
-    def _overflowing_run(epochs):
-        """Default growth at lr 1e4, where weight norms overflow to inf."""
+    def _overflowing_run(epochs, batch_size=32):
+        """Default growth at lr 1e4, where the loss explodes and weight norms
+        overflow to inf."""
         X, y = two_moons(160)
         ds = as_dataset(X, y, {"train": 0.6, "val": 0.2, "test": 0.2}, seed=0)
         config = ProgressionConfig(max_layers=1, train_spec=TrainSpec(
-            lr_schedule=((1e4, epochs),)))
+            lr_schedule=((1e4, epochs),), batch_size=batch_size))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             return run_progression(ds, config)
 
     def test_weight_norm_overflow_is_divergence(self):
-        # the first block's finetune stays finite; the second step's
-        # output-weight norm overflows, and so does the final finetune's
-        _, report = self._overflowing_run(3)
+        # one epoch gives the loss-growth rule no reference, so the first
+        # block's finetune survives; the second step's output-weight norm
+        # overflows, and so does the final finetune's
+        _, report = self._overflowing_run(1, batch_size=12)
         step = report.steps[1]
         assert (step.accepted, step.r_value, step.metric_after) == (
             False, -1.0, float("inf"))
@@ -313,7 +320,13 @@ class TestGrowthStopping:
     def test_first_block_weight_norm_overflow_raises(self):
         with pytest.raises(NonFiniteLoss,
                            match="first block of layer 0 diverged"):
-            self._overflowing_run(5)
+            self._overflowing_run(1, batch_size=4)
+
+    def test_finite_loss_explosion_of_the_first_block_raises(self):
+        # the first block's losses stay finite (2e19, then 2.8e52 at epoch 1)
+        with pytest.raises(NonFiniteLoss,
+                           match="first block of layer 0 diverged"):
+            self._overflowing_run(3)
 
     def test_noise_labels_stop_well_before_cap(self):
         widths = []
@@ -368,6 +381,19 @@ class TestVariants:
             assert_array_equal(block.weights, expected_w)
 
 
+def two_layer_moons_run():
+    """(model JSON, report JSON) of a small run that grows two layers of
+    two and three blocks."""
+    X, y = two_moons(60, seed=4)
+    ds = as_dataset(X, y, {"train": 0.6, "val": 0.2, "test": 0.2}, seed=4)
+    net, report = run_progression(ds, fast_config(seed=4, eps_n=0.0,
+                                                  eps_l=0.0))
+    return net.to_json(), json.dumps(report.to_dict())
+
+
+default_budget_run = functools.cache(two_layer_moons_run)
+
+
 class TestRunProgression:
     def test_separable_blobs_single_layer_high_accuracy(self):
         accs, layer_counts = [], []
@@ -391,6 +417,14 @@ class TestRunProgression:
                      for layer in net1.hidden for b in layer.blocks)
         manual += net1.output_weights.size + net1.output_bias.size
         assert report1.params == manual
+
+    @given(budget=st.one_of(st.sampled_from([1, 4096, 1 << 30]),
+                            st.integers(1, 1 << 20)))
+    @settings(max_examples=5, deadline=None)
+    def test_outputs_do_not_depend_on_the_forward_chunk_budget(self, budget):
+        reference = default_budget_run()
+        with mock.patch.object(network, "FORWARD_CHUNK_BYTES", budget):
+            assert two_layer_moons_run() == reference
 
     def test_three_class_problem(self):
         rng = np.random.default_rng(0)

@@ -345,6 +345,26 @@ class TestFinetune:
                      TrainableSelection.all_blocks(net))
         assert err.value.epoch == 0
 
+    def test_finite_loss_explosion_aborts_with_epoch(self):
+        net = copy.deepcopy(self.net)
+        spec = TrainSpec(lr_schedule=((1e2, 4),), dropout_hidden=0.0,
+                         dropout_input=0.0, weight_reg=None, seed=0)
+        with pytest.raises(NonFiniteLoss, match="diverged at epoch 1") as err:
+            finetune(net, (self.X, self.Y), None, spec,
+                     TrainableSelection.all_blocks(net))
+        assert err.value.epoch == 1
+        assert np.isfinite(net.forward(self.X)).all()
+
+    def test_non_finite_validation_loss_aborts(self):
+        X_val = self.X.copy()
+        X_val[3, 1] = np.nan
+        spec = TrainSpec(lr_schedule=((0.01, 3),), seed=0)
+        with pytest.raises(NonFiniteLoss) as err:
+            finetune(copy.deepcopy(self.net), (self.X, self.Y),
+                     (X_val, self.Y), spec,
+                     TrainableSelection.all_blocks(self.net))
+        assert err.value.epoch == 0
+
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
             TrainSpec(lr_schedule=()).validate()
