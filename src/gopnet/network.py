@@ -19,6 +19,7 @@ from .errors import ConfigError, DimensionMismatch, FormatError, UnfitNormalizat
 from .operators import (
     STD_FLOOR,
     OperatorSet,
+    PoolOp,
     activation_forward,
     activation_grad,
     neuron_flops,
@@ -81,8 +82,8 @@ class NeuronBlock:
         output [N, width] for a batch of inputs."""
         return self._parts(self._checked(inputs))
 
-    def _parts(self, inputs: np.ndarray):
-        Z = nodal_forward(self.op_set.nodal, self.weights[None, :, :], inputs[:, :, None])
+    def _parts(self, inputs: np.ndarray, Z_out: np.ndarray | None = None):
+        Z = nodal_forward(self.op_set.nodal, self.weights[None], inputs[:, :, None], Z_out)
         x = pool_forward_batch(self.op_set.pool, Z) + self.bias
         return Z, x, activation_forward(self.op_set.activation, x)
 
@@ -104,16 +105,19 @@ class NeuronBlock:
                  dh: np.ndarray, want_params: bool, want_inputs: bool):
         """(dW, dbias, dinputs) from the output gradient ``dh`` and the
         ``forward_parts`` intermediates of ``inputs``; the parameter pair is
-        None unless ``want_params``, dinputs None unless ``want_inputs``."""
+        None unless ``want_params``, dinputs None unless ``want_inputs``.
+        Z is consumed: the [N, fan_in, width] products overwrite it."""
         dx = dh * activation_grad(self.op_set.activation, x)
-        dZ = dx[:, None, :] * pool_grad_batch(self.op_set.pool, Z)
+        dZ = dx[:, None, :]
+        if self.op_set.pool is not PoolOp.SUMMATION:  # its grad is all ones
+            dZ = dZ * pool_grad_batch(self.op_set.pool, Z)
         gw, gy = nodal_grad(self.op_set.nodal, self.weights[None, :, :],
                             inputs[:, :, None])
         dW = dbias = dinputs = None
         if want_params:
-            dW, dbias = (dZ * gw).sum(axis=0), dx.sum(axis=0)
+            dW, dbias = np.multiply(dZ, gw, out=Z).sum(axis=0), dx.sum(axis=0)
         if want_inputs:
-            dinputs = (dZ * gy).sum(axis=2)
+            dinputs = np.multiply(dZ, gy, out=Z).sum(axis=2)
         return dW, dbias, dinputs
 
     def n_params(self) -> int:

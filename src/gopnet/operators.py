@@ -140,18 +140,19 @@ class _Op:
 
 # Nodal operators: z = psi(y, w), elementwise over broadcast w and y.  Grads
 # return (dz/dw, dz/dy); each broadcasts against z but may be smaller.
-# Composite forwards run as in-place chains over a fresh product buffer, in
-# the operation order of their closed forms (DoG is w * y * exp(-w * y * y)),
-# so they round exactly as those expressions do while allocating one
-# z-sized array (two for DoG) instead of one per operation.
+# Forwards write z into ``out`` when given, else into a fresh array; composite
+# ones run as in-place chains over it, in the operation order of their closed
+# forms (DoG is w * y * exp(-w * y * y)), so they round exactly as those
+# expressions do with no other z-sized array (one more for DoG).
 
-def _product(a, y):
-    """a * y in a fresh array, also for 0-d operands."""
-    return np.multiply(a, y, out=np.empty(np.broadcast(a, y).shape))
+def _product(a, y, out=None):
+    """a * y in ``out`` or a fresh array, also for 0-d operands."""
+    return np.multiply(a, y, out=np.empty(np.broadcast(a, y).shape)
+                       if out is None else out)
 
 
-def _exponential(w, y):
-    z = _product(w, y)
+def _exponential(w, y, out=None):
+    z = _product(w, y, out)
     np.clip(z, -EXP_CLAMP, EXP_CLAMP, out=z)
     np.exp(z, out=z)
     return np.subtract(z, 1.0, out=z)
@@ -164,8 +165,8 @@ def _exponential_grad(w, y):
     return y * e * live, w * e * live
 
 
-def _harmonic(w, y):
-    z = _product(w, y)
+def _harmonic(w, y, out=None):
+    z = _product(w, y, out)
     return np.sin(z, out=z)
 
 
@@ -174,20 +175,20 @@ def _harmonic_grad(w, y):
     return y * c, w * c
 
 
-def _quadratic(w, y):
-    z = _product(w, y)
+def _quadratic(w, y, out=None):
+    z = _product(w, y, out)
     return np.multiply(z, y, out=z)
 
 
-def _gaussian_exp(w, y):
-    """exp(-w * y * y) in a fresh array."""
-    g = _product(-w, y)
+def _gaussian_exp(w, y, out=None):
+    """exp(-w * y * y) in ``out`` or a fresh array."""
+    g = _product(-w, y, out)
     np.multiply(g, y, out=g)
     return np.exp(g, out=g)
 
 
-def _gaussian(w, y):
-    g = _gaussian_exp(w, y)
+def _gaussian(w, y, out=None):
+    g = _gaussian_exp(w, y, out)
     return np.multiply(w, g, out=g)
 
 
@@ -196,8 +197,8 @@ def _gaussian_grad(w, y):
     return g * (1.0 - w * y * y), -2.0 * w * w * y * g
 
 
-def _dog(w, y):
-    z = _product(w, y)
+def _dog(w, y, out=None):
+    z = _product(w, y, out)
     return np.multiply(z, _gaussian_exp(w, y), out=z)
 
 
@@ -207,7 +208,7 @@ def _dog_grad(w, y):
 
 
 _NODAL = {
-    NodalOp.MULTIPLICATION: _Op(lambda w, y: w * y, lambda w, y: (y, w), 1),
+    NodalOp.MULTIPLICATION: _Op(_product, lambda w, y: (y, w), 1),
     NodalOp.EXPONENTIAL: _Op(_exponential, _exponential_grad, 6),  # mul + exp + sub
     NodalOp.HARMONIC: _Op(_harmonic, _harmonic_grad, 5),  # mul + sin
     NodalOp.QUADRATIC: _Op(_quadratic, lambda w, y: (y * y, 2.0 * w * y), 2),
@@ -248,10 +249,8 @@ def _correlation(k: int) -> _Op:
 
 
 def _maximum_grad(Z):
-    g = np.zeros_like(Z)
-    idx = Z.argmax(axis=1)
-    np.put_along_axis(g, idx[:, None, :], 1.0, axis=1)
-    return g
+    first_max = Z.argmax(axis=1)[:, None, :]
+    return (np.arange(Z.shape[1])[:, None] == first_max).astype(float)
 
 
 _POOL = {
@@ -269,8 +268,8 @@ _POOL = {
 # and elu(x) = x for x >= 0, exp(x) for x < 0.  ReLU'(0) = 0 and ELU'(0) = 1.
 
 def _sigmoid(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _sigmoid_grad(x):
@@ -312,8 +311,8 @@ _ACTIVATION = {
 # Public lookups
 # ---------------------------------------------------------------------------
 
-def nodal_forward(op: NodalOp, w, y):
-    return _NODAL[op].forward(np.asarray(w, dtype=float), np.asarray(y, dtype=float))
+def nodal_forward(op: NodalOp, w, y, out=None):
+    return _NODAL[op].forward(np.asarray(w, float), np.asarray(y, float), out)
 
 
 def nodal_grad(op: NodalOp, w, y):

@@ -20,7 +20,8 @@ BN_EPS = 1e-5
 
 # finetune counts an epoch as divergence, even when every number is finite,
 # if its validation loss is non-finite or its mean training loss exceeds
-# DIVERGENCE_RATIO times the first epoch's, floored at DIVERGENCE_FLOOR.
+# DIVERGENCE_RATIO times the loss of the first batch before any update,
+# floored at DIVERGENCE_FLOOR.
 DIVERGENCE_RATIO = 1e3
 DIVERGENCE_FLOOR = 1e-3
 
@@ -151,7 +152,8 @@ class TrainLog:
 def loss_and_grad(P: np.ndarray, Y: np.ndarray, loss: LossKind):
     if loss is LossKind.MSE:
         diff = P - Y
-        return float(np.mean(diff * diff)), (2.0 / diff.size) * diff
+        mse = np.add.reduce(diff * diff, axis=None) / diff.size  # as np.mean does it
+        return float(mse), (2.0 / diff.size) * diff
     shifted = P - P.max(axis=1, keepdims=True)
     expP = np.exp(shifted)
     probs = expP / expP.sum(axis=1, keepdims=True)
@@ -179,12 +181,62 @@ def evaluate_metrics(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass
+class _LayerPlan:
+    """One layer's constants over the training-mode passes of one call: only
+    live columns and selected blocks change, so frozen columns are fixed."""
+
+    spans: list                 # column slice of each block
+    visit: list                 # (block_index, selected) pairs backward visits
+    live: np.ndarray            # bool mask of batch-stat normalized columns
+    frozen: np.ndarray
+    any_live: bool
+    any_frozen: bool
+    live_spans: dict            # selected block -> its slice of the live columns
+    frozen_norm: tuple          # (scale, mean, std, shift) of the frozen columns
+    frozen_gain: np.ndarray     # scale / std of the frozen columns
+    Z: list                     # per block, a [rows, fan_in, width] buffer
+
+
+@dataclass
+class _Plan:
+    layers: list
+    lowest: int                 # lowest layer with a selected block, else past the top
+    include_output: bool
+
+
+def _plan(net: GopNetwork, selection: TrainableSelection, rows: int) -> _Plan:
+    """The plan of passes over at most ``rows`` rows at a time."""
+    lowest = min((li for li, _ in selection.block_refs), default=len(net.hidden))
+    layers = []
+    for li, layer in enumerate(net.hidden):
+        if not layer.norm.fitted:
+            raise UnfitNormalization(f"layer {li} normalization is unfitted")
+        spans = [layer.block_slice(bi) for bi in range(len(layer.blocks))]
+        selected = [(li, bi) in selection.block_refs for bi in range(len(spans))]
+        live = np.zeros(layer.width, dtype=bool)
+        live_spans = {}
+        if layer.norm.mode is NormMode.BATCHNORM:
+            n_live = 0
+            for bi in np.flatnonzero(selected).tolist():
+                live[spans[bi]] = True
+                live_spans[bi] = slice(n_live, n_live + layer.blocks[bi].width)
+                n_live += layer.blocks[bi].width
+        frozen, norm = ~live, layer.norm
+        layers.append(_LayerPlan(
+            spans, [(bi, sel) for bi, sel in enumerate(selected) if sel or li > lowest],
+            live, frozen, bool(live.any()), bool(frozen.any()), live_spans,
+            (norm.scale[frozen], norm.mean[frozen], norm.std[frozen],
+             norm.shift[frozen]),
+            norm.scale[frozen] / norm.std[frozen],
+            [np.empty((rows, layer.fan_in, b.width)) for b in layer.blocks]))
+    return _Plan(layers, lowest, selection.include_output)
+
+
+@dataclass
 class _LayerCache:
     inputs: np.ndarray          # layer input after any upstream dropout
-    Z: tuple                    # per block, [N, fan_in, width]
+    Z: tuple                    # per block, [N, fan_in, width] plan buffer views
     x: tuple                    # per block pre-activation, [N, width]
-    H_raw: np.ndarray           # concatenated activations
-    live: np.ndarray            # bool mask of batch-stat normalized columns
     xhat: np.ndarray | None     # [N, n_live]
     sigma: np.ndarray | None    # [n_live]
     batch_mean: np.ndarray | None
@@ -192,62 +244,52 @@ class _LayerCache:
     drop_mask: np.ndarray | None
 
 
-def _live_columns(layer: GopLayer, layer_index: int,
-                  selection: TrainableSelection) -> np.ndarray:
-    """Columns normalized with batch statistics during training."""
-    live = np.zeros(layer.width, dtype=bool)
-    if layer.norm.mode is not NormMode.BATCHNORM:
-        return live
-    for bi in range(len(layer.blocks)):
-        if (layer_index, bi) in selection.block_refs:
-            live[layer.block_slice(bi)] = True
-    return live
-
-
-def _forward_train(net: GopNetwork, X: np.ndarray, selection: TrainableSelection,
+def _forward_train(net: GopNetwork, X: np.ndarray, plan: _Plan,
                    dropout_input: float = 0.0, dropout_hidden: float = 0.0,
                    rng: np.random.Generator | None = None):
-    """Forward pass capturing intermediates for backward.
+    """Forward pass over checked inputs capturing intermediates for backward.
 
     Dropout uses inverted scaling; with both rates zero the pass is a pure
-    function of (net, X, selection).
+    function of (net, X, plan).
     """
-    a = np.asarray(X, dtype=float)
-    input_mask = None
+    a = X
     if dropout_input > 0.0:
         input_mask = (rng.random(a.shape) >= dropout_input) / (1.0 - dropout_input)
         a = a * input_mask
     caches = []
-    for li, layer in enumerate(net.hidden):
-        if not layer.norm.fitted:
-            raise UnfitNormalization(f"layer {li} normalization is unfitted")
+    for layer, lp in zip(net.hidden, plan.layers):
         inputs = a
-        Zs, xs, hs = zip(*(block.forward_parts(inputs) for block in layer.blocks))
+        Zs, xs, hs = zip(*(block._parts(inputs, Z[:len(inputs)])
+                           for block, Z in zip(layer.blocks, lp.Z)))
         H_raw = np.concatenate(hs, axis=1)
-        live = _live_columns(layer, li, selection)
-        out = np.empty_like(H_raw)
-        frozen = ~live
         norm = layer.norm
+        scale, mean, std, shift = lp.frozen_norm
         # masks, not per-block slices: H_raw[:, mask] is an F-ordered copy whose
         # axis-0 sums run pairwise; a slice view sums row by row and would move
         # the batch statistics in their last bits
-        if frozen.any():
-            out[:, frozen] = (norm.scale[frozen] * (H_raw[:, frozen] - norm.mean[frozen])
-                              / norm.std[frozen] + norm.shift[frozen])
         xhat = sigma = batch_mean = None
-        if live.any():
-            h_live = H_raw[:, live]
-            batch_mean = h_live.mean(axis=0)
-            sigma = np.sqrt(h_live.var(axis=0) + BN_EPS)
-            xhat = (h_live - batch_mean) / sigma
-            out[:, live] = norm.scale[live] * xhat + norm.shift[live]
+        out = np.empty_like(H_raw)
+        if lp.any_frozen:
+            out[:, lp.frozen] = scale * (H_raw[:, lp.frozen] - mean) / std + shift
+        if lp.any_live:
+            h_live = H_raw[:, lp.live]
+            n = len(h_live)
+            # h.mean(axis=0) and h.var(axis=0) as numpy computes them
+            batch_mean = np.add.reduce(h_live, axis=0) / n
+            centered = h_live - batch_mean
+            sigma = np.sqrt(np.add.reduce(centered * centered, axis=0) / n + BN_EPS)
+            xhat = centered / sigma
+            if lp.any_frozen:
+                out[:, lp.live] = norm.scale[lp.live] * xhat + norm.shift[lp.live]
+            else:
+                np.add(np.multiply(norm.scale, xhat, out=out), norm.shift, out=out)
         drop_mask = None
         if dropout_hidden > 0.0:
             drop_mask = (rng.random(out.shape) >= dropout_hidden) / (1.0 - dropout_hidden)
             a = out * drop_mask
         else:
             a = out
-        caches.append(_LayerCache(inputs, Zs, xs, H_raw, live, xhat, sigma,
+        caches.append(_LayerCache(inputs, Zs, xs, xhat, sigma,
                                   batch_mean, out, drop_mask))
     P = a @ net.output_weights + net.output_bias
     return P, caches
@@ -261,7 +303,8 @@ def training_loss(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
     Batch-stat normalization applies to the selected blocks' columns exactly
     as in backward, so finite differences of this function match it.
     """
-    P, _ = _forward_train(net, X, selection)
+    X = net.hidden[0].blocks[0]._checked(X)
+    P, _ = _forward_train(net, X, _plan(net, selection, len(X)))
     value, _ = loss_and_grad(P, Y, loss)
     return value
 
@@ -271,51 +314,45 @@ def backward(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
              loss: LossKind = LossKind.MSE) -> Gradients:
     """Exact loss gradients for every selected parameter (no dropout)."""
     selection.validate(net)
-    P, caches = _forward_train(net, X, selection)
+    X = net.hidden[0].blocks[0]._checked(X)
+    plan = _plan(net, selection, len(X))
+    P, caches = _forward_train(net, X, plan)
     _, dP = loss_and_grad(P, Y, loss)
-    return _backward_from_caches(net, caches, dP, selection)
+    return _backward_from_caches(net, caches, dP, plan)
 
 
 def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
-                          selection: TrainableSelection) -> Gradients:
+                          plan: _Plan) -> Gradients:
     grads = Gradients()
     last = caches[-1]
     a_last = last.out if last.drop_mask is None else last.out * last.drop_mask
-    if selection.include_output:
+    if plan.include_output:
         grads.output = (a_last.T @ dP, dP.sum(axis=0))
-    if not selection.block_refs:
-        return grads
-    lowest = min(li for li, _ in selection.block_refs)
     dA = dP @ net.output_weights.T
-    for li in range(len(net.hidden) - 1, lowest - 1, -1):
-        layer = net.hidden[li]
-        cache = caches[li]
+    for li in range(len(net.hidden) - 1, plan.lowest - 1, -1):
+        layer, lp, cache = net.hidden[li], plan.layers[li], caches[li]
         dout = dA if cache.drop_mask is None else dA * cache.drop_mask
-        norm = layer.norm
-        dH_raw = np.empty_like(cache.H_raw)
-        frozen = ~cache.live
-        if frozen.any():
-            dH_raw[:, frozen] = dout[:, frozen] * (norm.scale[frozen] / norm.std[frozen])
-        if cache.live.any():
-            d_live = dout[:, cache.live]
+        dH_raw = np.empty(dout.shape)
+        if lp.any_frozen:
+            dH_raw[:, lp.frozen] = dout[:, lp.frozen] * lp.frozen_gain
+        if lp.any_live:
+            d_live = dout[:, lp.live]
             xhat = cache.xhat
-            dxhat = d_live * norm.scale[cache.live]
-            dH_raw[:, cache.live] = (
-                dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)
-            ) / cache.sigma
-            dscale_cols = (d_live * xhat).sum(axis=0)
-            dshift_cols = d_live.sum(axis=0)
-            _scatter_norm_grads(grads, layer, li, cache.live, dscale_cols,
-                                dshift_cols, selection)
-        need_dinputs = li > lowest
+            n = len(d_live)
+            dxhat = d_live * layer.norm.scale[lp.live]
+            mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=0) / n
+            dH_raw[:, lp.live] = (dxhat - np.add.reduce(dxhat, axis=0) / n
+                                  - xhat * mean_dxhat_xhat) / cache.sigma
+            dscale_cols = np.add.reduce(d_live * xhat, axis=0)
+            dshift_cols = np.add.reduce(d_live, axis=0)
+            for bi, sl in lp.live_spans.items():
+                grads.norm[(li, bi)] = (dscale_cols[sl], dshift_cols[sl])
+        need_dinputs = li > plan.lowest
         dinputs = np.zeros_like(cache.inputs) if need_dinputs else None
-        for bi, block in enumerate(layer.blocks):
-            selected = (li, bi) in selection.block_refs
-            if not (selected or need_dinputs):
-                continue
-            dW, dbias, dblock = block.backward(
-                cache.inputs, cache.Z[bi], cache.x[bi],
-                dH_raw[:, layer.block_slice(bi)], selected, need_dinputs)
+        for bi, selected in lp.visit:
+            dW, dbias, dblock = layer.blocks[bi].backward(
+                cache.inputs, cache.Z[bi], cache.x[bi], dH_raw[:, lp.spans[bi]],
+                selected, need_dinputs)
             if selected:
                 grads.blocks[(li, bi)] = (dW, dbias)
             if need_dinputs:
@@ -324,25 +361,12 @@ def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
     return grads
 
 
-def _scatter_norm_grads(grads, layer, layer_index, live, dscale_cols, dshift_cols,
-                        selection):
-    """Distribute live-column norm gradients to their owning selected blocks."""
-    full_scale = np.zeros(layer.width)
-    full_shift = np.zeros(layer.width)
-    full_scale[live] = dscale_cols
-    full_shift[live] = dshift_cols
-    for bi in range(len(layer.blocks)):
-        if (layer_index, bi) in selection.block_refs:
-            sl = layer.block_slice(bi)
-            grads.norm[(layer_index, bi)] = (full_scale[sl].copy(), full_shift[sl].copy())
-
-
 # ---------------------------------------------------------------------------
 # SGD loop
 # ---------------------------------------------------------------------------
 
 def _apply_update(net: GopNetwork, grads: Gradients, lr: float, spec: TrainSpec,
-                  epoch: int) -> None:
+                  plan: _Plan, epoch: int) -> None:
     decay = spec.weight_reg.lam if isinstance(spec.weight_reg, Decay) else 0.0
     max_norm = spec.weight_reg.limit if isinstance(spec.weight_reg, MaxNorm) else None
     for (li, bi), (dW, db) in grads.blocks.items():
@@ -352,10 +376,9 @@ def _apply_update(net: GopNetwork, grads: Gradients, lr: float, spec: TrainSpec,
         if max_norm is not None:
             _project_rows(block.weights, max_norm, epoch)
     for (li, bi), (dscale, dshift) in grads.norm.items():
-        layer = net.hidden[li]
-        sl = layer.block_slice(bi)
-        layer.norm.scale[sl] -= lr * dscale
-        layer.norm.shift[sl] -= lr * dshift
+        norm, sl = net.hidden[li].norm, plan.layers[li].spans[bi]
+        norm.scale[sl] -= lr * dscale
+        norm.shift[sl] -= lr * dshift
     if grads.output is not None:
         dB, dbias = grads.output
         net.output_weights -= lr * (dB + decay * net.output_weights)
@@ -366,7 +389,7 @@ def _apply_update(net: GopNetwork, grads: Gradients, lr: float, spec: TrainSpec,
 
 def _project_rows(W: np.ndarray, limit: float, epoch: int) -> None:
     """Max-norm projection of W's rows; a non-finite norm is divergence."""
-    norms = np.linalg.norm(W, axis=1)
+    norms = np.sqrt(np.add.reduce(W * W, axis=1))  # np.linalg.norm(W, axis=1)
     if not np.isfinite(norms).all():
         raise NonFiniteLoss(f"non-finite weight norm at epoch {epoch}", epoch=epoch)
     over = norms > limit
@@ -374,11 +397,11 @@ def _project_rows(W: np.ndarray, limit: float, epoch: int) -> None:
         W[over] *= (limit / norms[over])[:, None]
 
 
-def _update_running_stats(net: GopNetwork, caches) -> None:
-    for layer, cache in zip(net.hidden, caches):
-        if cache.batch_mean is None:
+def _update_running_stats(net: GopNetwork, caches, plan: _Plan) -> None:
+    for layer, lp, cache in zip(net.hidden, plan.layers, caches):
+        if not lp.any_live:
             continue
-        live = cache.live
+        live = lp.live
         layer.norm.mean[live] = (BN_MOMENTUM * layer.norm.mean[live]
                                  + (1.0 - BN_MOMENTUM) * cache.batch_mean)
         layer.norm.std[live] = (BN_MOMENTUM * layer.norm.std[live]
@@ -392,16 +415,21 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
     Dropout and batch statistics apply during training only; the network is
     usable for inference at every point after this returns.  A non-finite
     loss or weight norm, or an epoch that diverges by the DIVERGENCE_RATIO
-    rule, raises NonFiniteLoss.
+    rule, raises NonFiniteLoss.  The per-layer plan (column masks and spans,
+    the frozen columns' normalization, the nodal tensor buffers) is built
+    once per call.
     """
     spec.validate()
     selection.validate(net)
     X, Y = data_train
-    X = np.asarray(X, dtype=float)
+    X = net.hidden[0].blocks[0]._checked(X)
+    plan = _plan(net, selection, min(spec.batch_size, len(X)))
     Y = np.asarray(Y, dtype=float)
+    labels = Y.argmax(axis=1)
     rng = np.random.default_rng(spec.seed)
     log = TrainLog()
     epoch_index = 0
+    loss_limit = None
     n = X.shape[0]
     for lr, epochs in spec.lr_schedule:
         for _ in range(int(epochs)):
@@ -412,7 +440,7 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
                 idx = order[start:start + spec.batch_size]
                 with np.errstate(over="ignore", invalid="ignore"):
                     P, caches = _forward_train(
-                        net, X[idx], selection,
+                        net, X[idx], plan,
                         dropout_input=spec.dropout_input,
                         dropout_hidden=spec.dropout_hidden, rng=rng)
                     batch_loss, dP = loss_and_grad(P, Y[idx], spec.loss)
@@ -420,14 +448,15 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
                         raise NonFiniteLoss(
                             f"non-finite training loss at epoch {epoch_index}",
                             epoch=epoch_index)
+                    if loss_limit is None:  # the loss before any update
+                        loss_limit = DIVERGENCE_RATIO * max(batch_loss,
+                                                            DIVERGENCE_FLOOR)
                     loss_sum += batch_loss * len(idx)
-                    hits += int((P.argmax(axis=1) == Y[idx].argmax(axis=1)).sum())
-                    grads = _backward_from_caches(net, caches, dP, selection)
-                    _apply_update(net, grads, lr, spec, epoch_index)
-                    _update_running_stats(net, caches)
+                    hits += int((P.argmax(axis=1) == labels[idx]).sum())
+                    grads = _backward_from_caches(net, caches, dP, plan)
+                    _apply_update(net, grads, lr, spec, plan, epoch_index)
+                    _update_running_stats(net, caches, plan)
             train_loss = loss_sum / n
-            if epoch_index == 0:
-                loss_limit = DIVERGENCE_RATIO * max(train_loss, DIVERGENCE_FLOOR)
             diverged = train_loss > loss_limit
             val_loss = val_acc = None
             if data_val is not None:

@@ -91,6 +91,16 @@ class TestTrain:
 
     def test_finite_divergence_of_the_first_block_exits_3(self, tmp_path,
                                                            capsys):
+        self._first_block_divergence_exits_3(tmp_path, capsys, epochs=3)
+
+    def test_one_epoch_divergence_of_the_first_block_exits_3(self, tmp_path,
+                                                              capsys):
+        # the reference is the loss before the first update, so a block that
+        # explodes within its only epoch is caught too
+        self._first_block_divergence_exits_3(tmp_path, capsys, epochs=1)
+
+    @staticmethod
+    def _first_block_divergence_exits_3(tmp_path, capsys, epochs):
         X, y = two_moons(160)
         data = tmp_path / "moons.csv"
         data.write_text("x1,x2,label\n" + "".join(
@@ -101,7 +111,8 @@ class TestTrain:
             "split": {"train": 0.6, "val": 0.2, "test": 0.2},
             "seed": 0,
             "progression": {**DEFAULT_CONFIG["progression"], "max_layers": 1},
-            "train": {**DEFAULT_CONFIG["train"], "lr_schedule": [[1e4, 3]]},
+            "train": {**DEFAULT_CONFIG["train"],
+                      "lr_schedule": [[1e4, epochs]]},
         }))
         out = tmp_path / "out"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3

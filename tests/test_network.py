@@ -118,6 +118,7 @@ class TestBlockBackward:
         dh = rng.normal(size=(6, 3))
         dW, dbias, dinputs = block.backward(X, Z, x, dh, True, False)
         assert (dW.shape, dbias.shape, dinputs) == ((4, 3), (3,), None)
+        Z, x, _ = block.forward_parts(X)  # backward consumed the first Z
         dW, dbias, dinputs = block.backward(X, Z, x, dh, False, True)
         assert (dW, dbias, dinputs.shape) == (None, None, (6, 4))
 

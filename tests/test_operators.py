@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gopnet.errors import EmptyInput
+from gopnet.network import NeuronBlock
 from gopnet.operators import (
     _ACTIVATION,
     EXP_CLAMP,
@@ -355,3 +356,80 @@ class TestInPlaceForwards:
                         .sum(axis=1) if n > 0
                         else np.zeros((Z.shape[0], Z.shape[2])))
         assert np.array_equal(pooled, expected, equal_nan=True)
+
+
+# The expressions the one-hot maximum grad, the single-exp sigmoid and the
+# summation backward without its all-ones product replaced; the rewrites
+# must give the same bytes, so -0.0 and NaN payloads count.
+
+def put_along_axis_maximum_grad(Z):
+    g = np.zeros_like(Z)
+    np.put_along_axis(g, Z.argmax(axis=1)[:, None, :], 1.0, axis=1)
+    return g
+
+
+def three_exp_sigmoid(x):
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def same_bytes(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype == np.float64
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+# few distinct values, so argmax ties are common
+TIED = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+class TestRewrittenGradsKeepTheirBytes:
+    @given(Z=hnp.arrays(float, hnp.array_shapes(min_dims=3, max_dims=3,
+                                                max_side=5),
+                        elements=st.one_of(TIED, OPERAND)))
+    @settings(max_examples=150, deadline=None)
+    def test_maximum_grad(self, Z):
+        assert same_bytes(_POOL[PoolOp.MAXIMUM].grad(Z),
+                          put_along_axis_maximum_grad(Z))
+
+    def test_maximum_grad_at_fan_in_one(self):
+        Z = np.array([[[np.nan, -np.inf, 0.0]]])
+        assert same_bytes(_POOL[PoolOp.MAXIMUM].grad(Z), np.ones((1, 1, 3)))
+
+    @given(x=hnp.arrays(float, hnp.array_shapes(max_dims=2, max_side=6),
+                        elements=st.one_of(TIED, OPERAND, st.floats(-800, 800))))
+    @settings(max_examples=150, deadline=None)
+    def test_sigmoid_and_the_grads_built_on_it(self, x):
+        with np.errstate(all="ignore"):
+            s = three_exp_sigmoid(x)
+            assert same_bytes(activation_forward(ActivationOp.SIGMOID, x), s)
+            assert same_bytes(activation_grad(ActivationOp.SIGMOID, x),
+                              s * (1.0 - s))
+            assert same_bytes(activation_grad(ActivationOp.SOFTPLUS, x),
+                              -three_exp_sigmoid(-x))
+
+    @pytest.mark.parametrize("nodal", list(NodalOp))
+    @pytest.mark.parametrize("activation", list(ActivationOp))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_summation_backward_without_the_ones_product(self, nodal,
+                                                         activation, data):
+        n, fan_in, width = (data.draw(st.integers(1, 4)) for _ in range(3))
+        finite = st.floats(-3, 3)
+        block = NeuronBlock(
+            OperatorSet(nodal, PoolOp.SUMMATION, activation),
+            data.draw(hnp.arrays(float, (fan_in, width), elements=finite)),
+            data.draw(hnp.arrays(float, width, elements=finite)))
+        inputs = data.draw(hnp.arrays(float, (n, fan_in),
+                                      elements=st.one_of(TIED, OPERAND)))
+        dh = data.draw(hnp.arrays(float, (n, width),
+                                  elements=st.one_of(TIED, finite)))
+        with np.errstate(all="ignore"):
+            Z, x, _ = block.forward_parts(inputs)
+            dW, dbias, dinputs = block.backward(inputs, Z, x, dh, True, True)
+            dx = dh * activation_grad(activation, x)
+            dZ = dx[:, None, :] * np.ones_like(Z)
+            gw, gy = nodal_grad(nodal, block.weights[None], inputs[:, :, None])
+            assert same_bytes(dW, (dZ * gw).sum(axis=0))
+            assert same_bytes(dbias, dx.sum(axis=0))
+            assert same_bytes(dinputs, (dZ * gy).sum(axis=2))

@@ -296,37 +296,66 @@ class TestGrowthStopping:
         assert net.to_json() == one_block.to_json()
 
     @staticmethod
-    def _overflowing_run(epochs, batch_size=32):
+    def _overflowing_run(epochs, batch_size=32, causes=None):
         """Default growth at lr 1e4, where the loss explodes and weight norms
-        overflow to inf."""
+        overflow to inf; the message of every NonFiniteLoss that finetune
+        raises is appended to ``causes``."""
+        import gopnet.progression as progression
+
+        def recording_finetune(*args):
+            try:
+                return finetune(*args)
+            except NonFiniteLoss as exc:
+                if causes is not None:
+                    causes.append(str(exc))
+                raise
+
         X, y = two_moons(160)
         ds = as_dataset(X, y, {"train": 0.6, "val": 0.2, "test": 0.2}, seed=0)
         config = ProgressionConfig(max_layers=1, train_spec=TrainSpec(
             lr_schedule=((1e4, epochs),), batch_size=batch_size))
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), mock.patch.object(
+                progression, "finetune", recording_finetune):
             warnings.simplefilter("error", RuntimeWarning)
             return run_progression(ds, config)
 
-    def test_weight_norm_overflow_is_divergence(self):
-        # one epoch gives the loss-growth rule no reference, so the first
-        # block's finetune survives; the second step's output-weight norm
-        # overflows, and so does the final finetune's
-        _, report = self._overflowing_run(1, batch_size=12)
+    def test_weight_norm_overflow_is_divergence(self, monkeypatch):
+        # with the loss-growth rule switched off the first block's finetune
+        # survives; the second step's output-weight norm overflows, and so
+        # does the final finetune's
+        import gopnet.training as training
+
+        monkeypatch.setattr(training, "DIVERGENCE_RATIO", float("inf"))
+        causes = []
+        _, report = self._overflowing_run(1, batch_size=12, causes=causes)
         step = report.steps[1]
         assert (step.accepted, step.r_value, step.metric_after) == (
             False, -1.0, float("inf"))
         assert report.final_finetune_diverged
+        assert causes == ["non-finite weight norm at epoch 0"] * 2
 
     def test_first_block_weight_norm_overflow_raises(self):
+        causes = []
         with pytest.raises(NonFiniteLoss,
                            match="first block of layer 0 diverged"):
-            self._overflowing_run(1, batch_size=4)
+            self._overflowing_run(1, batch_size=4, causes=causes)
+        assert causes == ["non-finite weight norm at epoch 0"]
 
     def test_finite_loss_explosion_of_the_first_block_raises(self):
-        # the first block's losses stay finite (2e19, then 2.8e52 at epoch 1)
+        # the first block's losses stay finite (2e19 in epoch 0)
         with pytest.raises(NonFiniteLoss,
                            match="first block of layer 0 diverged"):
             self._overflowing_run(3)
+
+    def test_one_epoch_explosion_of_the_first_block_raises(self):
+        # the reference is the loss before the first update, so one epoch
+        # is enough to see the explosion
+        causes = []
+        with pytest.raises(NonFiniteLoss,
+                           match="first block of layer 0 diverged"):
+            self._overflowing_run(1, causes=causes)
+        assert len(causes) == 1
+        assert causes[0].startswith("training diverged at epoch 0")
 
     def test_noise_labels_stop_well_before_cap(self):
         widths = []

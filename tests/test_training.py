@@ -2,6 +2,9 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gopnet.data import one_hot
@@ -347,13 +350,23 @@ class TestFinetune:
 
     def test_finite_loss_explosion_aborts_with_epoch(self):
         net = copy.deepcopy(self.net)
-        spec = TrainSpec(lr_schedule=((1e2, 4),), dropout_hidden=0.0,
+        spec = TrainSpec(lr_schedule=((5.0, 4),), dropout_hidden=0.0,
                          dropout_input=0.0, weight_reg=None, seed=0)
         with pytest.raises(NonFiniteLoss, match="diverged at epoch 1") as err:
             finetune(net, (self.X, self.Y), None, spec,
                      TrainableSelection.all_blocks(net))
         assert err.value.epoch == 1
         assert np.isfinite(net.forward(self.X)).all()
+
+    def test_explosion_within_the_first_epoch_aborts(self):
+        # the reference is the loss of the first batch, before any update
+        net = copy.deepcopy(self.net)
+        spec = TrainSpec(lr_schedule=((1e2, 1),), dropout_hidden=0.0,
+                         dropout_input=0.0, weight_reg=None, seed=0)
+        with pytest.raises(NonFiniteLoss, match="diverged at epoch 0") as err:
+            finetune(net, (self.X, self.Y), None, spec,
+                     TrainableSelection.all_blocks(net))
+        assert err.value.epoch == 0
 
     def test_non_finite_validation_loss_aborts(self):
         X_val = self.X.copy()
@@ -438,3 +451,31 @@ class TestBatchNormInit:
         finetune(net, (X, Y), None, spec, TrainableSelection.single_block(0, 1))
         assert_array_equal(net.hidden[0].norm.mean[:3], frozen_mean)
         assert not np.array_equal(net.hidden[0].norm.mean[3:], np.full(3, 0.25))
+
+
+class TestHandWrittenReductions:
+    """training.py writes mean, var, the MSE mean and the row norm as the
+    np.add.reduce calls numpy's own code makes; they must keep its bytes,
+    also on the F-ordered mask gathers the batch statistics are taken over."""
+
+    @given(H=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                max_side=40),
+                        elements=st.floats(-1e3, 1e3)),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_they_equal_the_library_calls(self, H, data):
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=H.shape[1],
+                                           max_size=H.shape[1])))
+        mask[data.draw(st.integers(0, H.shape[1] - 1))] = True  # as any_live
+        for h in (H, H[:, mask]):
+            n = len(h)
+            mean = np.add.reduce(h, axis=0) / n
+            centered = h - mean
+            var = np.add.reduce(centered * centered, axis=0) / n
+            for ours, numpys in ((mean, h.mean(axis=0)), (var, h.var(axis=0)),
+                                 (np.add.reduce(h * h, axis=None) / h.size,
+                                  np.mean(h * h)),
+                                 (np.sqrt(np.add.reduce(h * h, axis=1)),
+                                  np.linalg.norm(h, axis=1))):
+                assert np.array_equal(np.asarray(ours).view(np.uint64),
+                                      np.asarray(numpys).view(np.uint64))
