@@ -38,7 +38,8 @@ from .progression import (
     run_progression,
 )
 from .ridge import Metric
-from .training import Decay, LossKind, MaxNorm, TrainSpec, evaluate_metrics
+from .training import (Decay, LossKind, MaxNorm, TrainLogRow, TrainSpec,
+                       evaluate_metrics)
 
 VARIANTS = tuple(v.value for v in Variant) + ("pop", "pmlp")
 
@@ -285,12 +286,12 @@ def _csv_text(header, rows) -> str:
 
 
 def _write_trainlog(path: str, train_logs) -> None:
-    rows = ([label, row.epoch] + ["" if v is None else repr(v) for v in (
-        row.lr, row.train_loss, row.train_accuracy, row.val_loss,
-        row.val_accuracy)] for label, log in train_logs for row in log.rows)
+    """One CSV row per epoch: the phase label, then every TrainLogRow field."""
+    rows = ([label] + ["" if v is None else repr(v)
+                       for v in dataclasses.astuple(row)]
+            for label, log in train_logs for row in log.rows)
     _atomic_write_text(path, _csv_text(
-        ["phase", "epoch", "lr", "train_loss", "train_accuracy", "val_loss",
-         "val_accuracy"], rows))
+        ["phase"] + [f.name for f in dataclasses.fields(TrainLogRow)], rows))
 
 
 def run_single(run: RunConfig, loaded, seed: int, out_dir: str) -> dict:
@@ -382,8 +383,9 @@ def cmd_eval(args) -> int:
         loss_kind = run.train.loss
     elif args.data:
         ds = load_csv(args.data, label_column=_label_col(args),
-                      header=not args.no_header,
-                      standardize_features=args.standardize)
+                      header=not args.no_header)
+        if args.standardize:
+            ds = apply_feature_standardization(ds)
         X, Y = ds.X_split("train"), ds.targets("train")
         loss_kind = LossKind.MSE
     else:

@@ -67,14 +67,11 @@ class Dataset:
         return one_hot(self.y_split(name), self.n_classes)
 
 
-def load_csv(path: str, label_column="label", header: bool = True,
-             standardize_features: bool = False) -> Dataset:
-    """Load a rectangular CSV with one label column.
+def load_csv(path: str, label_column="label", header: bool = True) -> Dataset:
+    """Load a rectangular CSV with one label column, every row in the train
+    split.
 
-    Labels are mapped to 0..C-1 in first-appearance order.  With
-    ``standardize_features`` the features are z-scored with statistics
-    fitted on the dataset's current train split (everything, before any
-    split is applied).
+    Labels are mapped to 0..C-1 in first-appearance order.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -128,12 +125,9 @@ def load_csv(path: str, label_column="label", header: bool = True,
                     f"column {c + 1}") from None
             features[r, col_out] = value
             col_out += 1
-    ds = Dataset(features, np.asarray(labels), len(label_order),
-                 feature_names=feature_names,
-                 label_names=list(label_order))
-    if standardize_features:
-        ds = apply_feature_standardization(ds)
-    return ds
+    return Dataset(features, np.asarray(labels), len(label_order),
+                   feature_names=feature_names,
+                   label_names=list(label_order))
 
 
 def apply_feature_standardization(ds: Dataset) -> Dataset:

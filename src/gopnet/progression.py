@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -41,7 +41,6 @@ from .training import (
     evaluate_metrics,
     finetune,
     init_batchnorm_from_standardization,
-    with_seed,
 )
 
 
@@ -106,6 +105,58 @@ class ProgressionConfig:
         return [OperatorSet.from_index(i) for i in self.op_set_indices]
 
 
+def _record_dict(record) -> dict:
+    """A record's fields, with operator sets written as their tokens."""
+    return {name: value.tokens() if isinstance(value, OperatorSet) else value
+            for name, value in vars(record).items()}
+
+
+@dataclass
+class _RunReport:
+    """The outcome every trainer reports: final metrics per split, size and
+    the final finetune's fate."""
+
+    variant: str
+    seed: int
+    final_metrics: dict = field(default_factory=dict)
+    params: int = 0
+    flops: int = 0
+    train_logs: list = field(default_factory=list)  # (label, TrainLog)
+    final_finetune_diverged: bool = False
+    wall_time: float = 0.0
+
+    def to_dict(self) -> dict:
+        """Serializable report: every field but the train logs and the wall
+        time, so identical runs produce identical documents.  List fields
+        hold records and are written as objects of their fields."""
+        doc = {}
+        for f in fields(self):
+            if f.name in ("train_logs", "wall_time"):
+                continue
+            value = getattr(self, f.name)
+            doc[f.name] = ([_record_dict(r) for r in value]
+                           if isinstance(value, list) else value)
+        return doc
+
+    def finish(self, net: GopNetwork, final_log, dataset: Dataset,
+               loss_kind: LossKind, started: float) -> None:
+        """Record the final finetune's log (None when it diverged), the
+        network's per-split metrics and size, and the run's wall time."""
+        if final_log is None:
+            self.final_finetune_diverged = True
+        else:
+            self.train_logs.append(("final", final_log))
+        for split in ("train", "val", "test"):
+            self.final_metrics[split] = None
+            if dataset.has_split(split):
+                loss, acc = evaluate_metrics(net, dataset.X_split(split),
+                                             dataset.targets(split), loss_kind)
+                self.final_metrics[split] = {"loss": loss, "accuracy": acc}
+        self.params = net.count_params()
+        self.flops = net.count_flops()
+        self.wall_time = time.perf_counter() - started
+
+
 @dataclass
 class StepRecord:
     layer_index: int
@@ -116,7 +167,6 @@ class StepRecord:
     r_value: float
     accepted: bool
     metric_after: float
-    wall_time: float
 
 
 @dataclass
@@ -128,53 +178,10 @@ class LayerRecord:
 
 
 @dataclass
-class ProgressionReport:
-    variant: str
-    seed: int
+class ProgressionReport(_RunReport):
     steps: list = field(default_factory=list)
     layers: list = field(default_factory=list)
-    final_metrics: dict = field(default_factory=dict)
-    params: int = 0
-    flops: int = 0
     operator_histogram: dict = field(default_factory=dict)
-    train_logs: list = field(default_factory=list)  # (label, TrainLog)
-    final_finetune_diverged: bool = False
-    wall_time: float = 0.0
-
-    def to_dict(self) -> dict:
-        """Serializable report; wall-clock fields are omitted so identical
-        runs produce identical documents."""
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "steps": [
-                {
-                    "layer_index": s.layer_index,
-                    "block_width": s.block_width,
-                    "candidate_indices": list(s.candidate_indices),
-                    "candidate_scores": list(s.candidate_scores),
-                    "chosen_op_set": s.chosen_op_set.tokens(),
-                    "r_value": s.r_value,
-                    "accepted": s.accepted,
-                    "metric_after": s.metric_after,
-                }
-                for s in self.steps
-            ],
-            "layers": [
-                {
-                    "layer_index": r.layer_index,
-                    "width": r.width,
-                    "r_value": r.r_value,
-                    "accepted": r.accepted,
-                }
-                for r in self.layers
-            ],
-            "final_metrics": self.final_metrics,
-            "params": self.params,
-            "flops": self.flops,
-            "operator_histogram": self.operator_histogram,
-            "final_finetune_diverged": self.final_finetune_diverged,
-        }
 
 
 def improvement_rate(before: float, after: float,
@@ -372,7 +379,6 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
         width = config.n_min if step == 0 else config.n_i
         if current_width + width > config.max_layer_width:
             break
-        started = time.perf_counter()
         snapshot = copy.deepcopy(net) if step > 0 else None
         if step == 0 or config.variant not in _HOMOGENEOUS:
             step_library = library
@@ -391,8 +397,8 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
             init_batchnorm_from_standardization(layer)
             selection = TrainableSelection.single_block(
                 layer_index, len(layer.blocks) - 1)
-            spec = with_seed(config.train_spec,
-                             derive_seed(config.seed, 1, layer_index, step))
+            spec = replace(config.train_spec,
+                           seed=derive_seed(config.seed, 1, layer_index, step))
             try:
                 log = finetune(net, (ctx.X_train, ctx.Y_train),
                                None if ctx.X_val is None
@@ -417,8 +423,7 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
             accepted = step == 0 or r_value >= config.eps_n
         ctx.report.steps.append(StepRecord(
             layer_index, width, found.candidate_indices, found.candidate_scores,
-            found.op_set, float(r_value), accepted, float(metric_after),
-            time.perf_counter() - started))
+            found.op_set, float(r_value), accepted, float(metric_after)))
         if not accepted:
             net = snapshot
             break
@@ -473,7 +478,7 @@ def run_progression(dataset: Dataset, config: ProgressionConfig):
 
     for layer in net.hidden:
         init_batchnorm_from_standardization(layer)
-    spec = with_seed(config.train_spec, derive_seed(config.seed, 2))
+    spec = replace(config.train_spec, seed=derive_seed(config.seed, 2))
     snapshot = copy.deepcopy(net)
     try:
         log = finetune(net, (X_train, Y_train),
@@ -482,29 +487,10 @@ def run_progression(dataset: Dataset, config: ProgressionConfig):
     except NonFiniteLoss:
         # keep the progressively learned network; the full-network pass is
         # an improvement step, not a requirement for a usable model
-        net = snapshot
-        report.final_finetune_diverged = True
-    else:
-        report.train_logs.append(("final", log))
-
-    report.final_metrics = _final_metrics(net, dataset, config.train_spec.loss)
-    report.params = net.count_params()
-    report.flops = net.count_flops()
+        net, log = snapshot, None
     report.operator_histogram = operator_histogram(net)
-    report.wall_time = time.perf_counter() - started
+    report.finish(net, log, dataset, config.train_spec.loss, started)
     return net, report
-
-
-def _final_metrics(net: GopNetwork, dataset: Dataset, loss_kind: LossKind) -> dict:
-    metrics = {}
-    for split in ("train", "val", "test"):
-        if not dataset.has_split(split):
-            metrics[split] = None
-            continue
-        loss, acc = evaluate_metrics(net, dataset.X_split(split),
-                                     dataset.targets(split), loss_kind)
-        metrics[split] = {"loss": loss, "accuracy": acc}
-    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -532,39 +518,11 @@ class PopLayerSummary:
 
 
 @dataclass
-class PopReport:
-    variant: str
-    seed: int
+class PopReport(_RunReport):
     candidate_trainings: list = field(default_factory=list)
     layer_trainings: list = field(default_factory=list)
-    layer_summaries: list = field(default_factory=list)
+    layers: list = field(default_factory=list)
     template_exhausted: bool = False
-    final_metrics: dict = field(default_factory=dict)
-    params: int = 0
-    flops: int = 0
-    train_logs: list = field(default_factory=list)
-    final_finetune_diverged: bool = False
-    wall_time: float = 0.0
-
-    def to_dict(self) -> dict:
-        """Serializable report without wall-clock fields, as
-        ProgressionReport.to_dict."""
-        def tokens(record) -> dict:
-            return {**vars(record), "hidden_op": record.hidden_op.tokens(),
-                    "output_op": record.output_op.tokens()}
-
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "candidate_trainings": [tokens(r) for r in self.candidate_trainings],
-            "layer_trainings": [tokens(r) for r in self.layer_trainings],
-            "layers": [tokens(s) for s in self.layer_summaries],
-            "template_exhausted": self.template_exhausted,
-            "final_metrics": self.final_metrics,
-            "params": self.params,
-            "flops": self.flops,
-            "final_finetune_diverged": self.final_finetune_diverged,
-        }
 
 
 POP_EPOCHS = 20  # SGD epochs per single-hidden-layer training
@@ -682,7 +640,7 @@ def _pop_progression(dataset: Dataset, template, target_mse, epochs,
 
         mse, h_op, o_op, shln = best
         met_target = mse <= target_mse
-        report.layer_summaries.append(
+        report.layers.append(
             PopLayerSummary(li, width, h_op, o_op, mse, met_target))
         if met_target:
             break
@@ -702,16 +660,10 @@ def _pop_progression(dataset: Dataset, template, target_mse, epochs,
         log = finetune(net, (X_train, Y_train),
                        (dataset.X_split("val"), dataset.targets("val"))
                        if dataset.has_split("val") else None,
-                       with_seed(train_spec, derive_seed(seed, 10_000)), selection)
+                       replace(train_spec, seed=derive_seed(seed, 10_000)),
+                       selection)
     except NonFiniteLoss:
         # as in run_progression: the searched network stays usable
-        net = snapshot
-        report.final_finetune_diverged = True
-    else:
-        report.train_logs.append(("final", log))
-
-    report.final_metrics = _final_metrics(net, dataset, train_spec.loss)
-    report.params = net.count_params()
-    report.flops = net.count_flops()
-    report.wall_time = time.perf_counter() - started
+        net, log = snapshot, None
+    report.finish(net, log, dataset, train_spec.loss, started)
     return net, report

@@ -7,7 +7,7 @@ by a TrainableSelection are updated; everything else is left bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -279,10 +279,7 @@ def _forward_train(net: GopNetwork, X: np.ndarray, plan: _Plan,
             centered = h_live - batch_mean
             sigma = np.sqrt(np.add.reduce(centered * centered, axis=0) / n + BN_EPS)
             xhat = centered / sigma
-            if lp.any_frozen:
-                out[:, lp.live] = norm.scale[lp.live] * xhat + norm.shift[lp.live]
-            else:
-                np.add(np.multiply(norm.scale, xhat, out=out), norm.shift, out=out)
+            out[:, lp.live] = norm.scale[lp.live] * xhat + norm.shift[lp.live]
         drop_mask = None
         if dropout_hidden > 0.0:
             drop_mask = (rng.random(out.shape) >= dropout_hidden) / (1.0 - dropout_hidden)
@@ -486,7 +483,3 @@ def init_batchnorm_from_standardization(layer: GopLayer) -> None:
     if layer.norm.mode is NormMode.BATCHNORM:
         return
     layer.norm.mode = NormMode.BATCHNORM
-
-
-def with_seed(spec: TrainSpec, seed: int) -> TrainSpec:
-    return replace(spec, seed=seed)

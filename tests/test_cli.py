@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 import gopnet.cli as cli
 from gopnet.cli import DEFAULT_CONFIG, main
+from gopnet.data import apply_feature_standardization, load_csv
 from gopnet.network import _atomic_write_text, load_model
 from gopnet.progression import ProgressionConfig, run_progression
 from gopnet.synth import as_dataset, two_moons
-from gopnet.training import TrainSpec
+from gopnet.training import LossKind, TrainSpec, evaluate_metrics
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +311,26 @@ class TestEval:
                      os.path.join(trained_run, "model.json"),
                      "--data", str(wide)])
         assert code == 3
+
+    def test_eval_on_a_headerless_csv_by_label_index_standardized(
+            self, trained_run, tmp_path, capsys):
+        X, y = two_moons(60, 0.15, seed=1)
+        data = tmp_path / "bare.csv"
+        data.write_text("".join(f"c{c},{float(a)!r},{float(b)!r}\n"
+                                for (a, b), c in zip(X, y)))
+        model = os.path.join(trained_run, "model.json")
+        assert main(["eval", "--model", model, "--data", str(data),
+                     "--label-column", "0", "--no-header", "--standardize"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        net = load_model(model)
+        raw = load_csv(str(data), label_column=0, header=False)
+        ds = apply_feature_standardization(raw)
+        loss, accuracy = evaluate_metrics(net, ds.X, ds.targets("train"),
+                                          LossKind.MSE)
+        assert (printed["accuracy"], printed["loss"]) == (accuracy, loss)
+        # the flag matters: the raw features score differently
+        assert evaluate_metrics(net, raw.X, raw.targets("train"),
+                                LossKind.MSE)[0] != loss
 
     def test_eval_without_data_source_exits_2(self, trained_run):
         assert main(["eval", "--model",

@@ -76,9 +76,9 @@ class TestStandardization:
         assert np.abs(out.X_split("train").mean(axis=0)).max() < 1e-12
         assert np.abs(out.X_split("test").mean(axis=0)).min() > 0.5
 
-    def test_load_csv_standardize_flag(self, tmp_path):
+    def test_standardizing_a_loaded_csv_centers_every_row(self, tmp_path):
         path = write(tmp_path, "a,label\n1,x\n2,x\n3,y\n")
-        ds = load_csv(path, standardize_features=True)
+        ds = apply_feature_standardization(load_csv(path))
         assert abs(ds.X[:, 0].mean()) < 1e-12
 
 

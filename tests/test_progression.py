@@ -550,7 +550,7 @@ class TestPopBaseline:
                          dropout_hidden=0.0, dropout_input=0.0)
         net, report = run_pmlp_baseline(ds, [8, 8], target_mse=0.2, epochs=60,
                                         train_spec=spec, seed=4)
-        assert report.layer_summaries[0].met_target
+        assert report.layers[0].met_target
         assert len(net.hidden) == 2
 
     def test_diverged_final_finetune_keeps_searched_network(self, monkeypatch):
@@ -597,7 +597,7 @@ class TestPopBaseline:
             winner = min(searched, key=lambda r: r.train_mse)
             assert getattr(following[0], role) == getattr(winner, role)
         best = min(records, key=lambda r: r.train_mse)
-        summary = report.layer_summaries[0]
+        summary = report.layers[0]
         assert (summary.hidden_op, summary.output_op, summary.train_mse) == (
             best.hidden_op, best.output_op, best.train_mse)
 
