@@ -22,6 +22,7 @@ import numpy as np
 from .data import (SPLIT_NAMES, apply_feature_standardization, load_csv,
                    split_dataset)
 from .errors import (
+    ClassTooSmall,
     ConfigError,
     DimensionMismatch,
     FormatError,
@@ -258,7 +259,11 @@ def _int_list(flag: str, text: str) -> list:
 
 def load_dataset(run: RunConfig):
     d = run.dataset
-    return load_csv(d["path"], label_column=d["label_column"], header=d["header"])
+    try:
+        return load_csv(d["path"], label_column=d["label_column"],
+                        header=d["header"])
+    except ConfigError as exc:
+        raise ConfigError(f"dataset.path: {exc}") from None
 
 
 def prepare_dataset(run: RunConfig, ds, seed: int):
@@ -294,10 +299,9 @@ def _write_trainlog(path: str, train_logs) -> None:
         ["phase"] + [f.name for f in dataclasses.fields(TrainLogRow)], rows))
 
 
-def run_single(run: RunConfig, loaded, seed: int, out_dir: str) -> dict:
-    """Execute one training run on the loaded dataset and write its artifacts;
-    returns summary.  Nothing is written before the dataset has split."""
-    ds = prepare_dataset(run, loaded, seed)
+def run_single(run: RunConfig, ds, seed: int, out_dir: str) -> dict:
+    """Execute one training run on the seed's prepared dataset and write its
+    artifacts; returns summary."""
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "config.json"),
                 {**run.raw, "seed": seed, "out_dir": out_dir})
@@ -338,12 +342,14 @@ def cmd_train(args) -> int:
     seeds = ([_SEED(s, "--seeds") for s in _int_list("--seeds", args.seeds)]
              if args.seeds else [run.seed])
     loaded = load_dataset(run)
+    # every seed's split and standardization, before any file is written
+    prepared = [prepare_dataset(run, loaded, seed) for seed in seeds]
     if len(seeds) == 1:
-        run_single(run, loaded, seeds[0], run.out_dir)
+        run_single(run, prepared[0], seeds[0], run.out_dir)
         return 0
-    summaries = [run_single(run, loaded, seed,
+    summaries = [run_single(run, ds, seed,
                             os.path.join(run.out_dir, f"seed_{seed}"))
-                 for seed in seeds]
+                 for ds, seed in zip(prepared, seeds)]
     _write_json(os.path.join(run.out_dir, "summary.json"),
                 _summarize(seeds, summaries))
     return 0
@@ -536,7 +542,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnknownLabelColumn) as exc:
+    except (ConfigError, UnknownLabelColumn, ClassTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

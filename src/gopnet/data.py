@@ -14,6 +14,7 @@ from .errors import (
     RaggedRows,
     UnknownLabelColumn,
 )
+from .operators import STD_FLOOR
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -100,6 +101,8 @@ def load_csv(path: str, label_column="label", header: bool = True) -> Dataset:
         if label_column not in names:
             raise UnknownLabelColumn(f"label column {label_column!r} not in header")
         label_idx = names.index(label_column)
+    if width < 2:
+        raise ConfigError(f"{path}: no feature columns, only the label column")
     feature_names = None
     if names is not None:
         feature_names = [n for i, n in enumerate(names) if i != label_idx]
@@ -131,11 +134,20 @@ def load_csv(path: str, label_column="label", header: bool = True) -> Dataset:
 
 
 def apply_feature_standardization(ds: Dataset) -> Dataset:
-    """Z-score all features with mean/std fitted on the train split only."""
+    """Z-score all features with mean/std fitted on the train split only,
+    std floored at STD_FLOOR; a feature whose mean or std overflows is a
+    ConfigError that names it."""
     X_train = ds.X_split("train")
-    mean = X_train.mean(axis=0)
-    std = np.maximum(X_train.std(axis=0), 1e-12)
-    return replace(ds, X=(ds.X - mean) / std)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X_train.mean(axis=0)
+        std = X_train.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        j = int(bad[0])
+        name = repr(ds.feature_names[j]) if ds.feature_names else f"at index {j}"
+        raise ConfigError(f"feature {name} cannot be standardized: its mean or "
+                          "std overflows")
+    return replace(ds, X=(ds.X - mean) / np.maximum(std, STD_FLOOR))
 
 
 def split_dataset(ds: Dataset, fractions, seed: int = 0,

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -25,7 +23,8 @@ from .errors import EmptyInput, FormatError
 # evaluation finite; gradients are zero in the saturated region.
 EXP_CLAMP = 50.0
 
-# Floor applied to standard deviations wherever hidden features are normalized.
+# Floor applied to standard deviations wherever features are normalized:
+# hidden layers and the input standardization.
 STD_FLOOR = 1e-6
 
 
@@ -138,17 +137,28 @@ class _Op:
     flops: int | Callable[[int], int]  # pools: a function of fan-in
 
 
-# Nodal operators: z = psi(y, w), elementwise over broadcast w and y.  Grads
-# return (dz/dw, dz/dy); each broadcasts against z but may be smaller.
+# Nodal operators: z = psi(y, w), elementwise over broadcast w and y.
 # Forwards write z into ``out`` when given, else into a fresh array; composite
 # ones run as in-place chains over it, in the operation order of their closed
 # forms (DoG is w * y * exp(-w * y * y)), so they round exactly as those
 # expressions do with no other z-sized array (one more for DoG).
+#
+# Grads take ``gw`` and ``gy``, arrays shaped like z for the partials dz/dw
+# and dz/dy or None for a partial not wanted, and ``t``, a z-shaped scratch
+# array.  They return (dz/dw, dz/dy), None where not wanted; a partial may be
+# an operand or a smaller array that broadcasts against z instead of its
+# output array.  Each is an in-place chain in the operation order of its
+# closed form, so it keeps that expression's bits, and a partial computed
+# alone equals the same partial computed with its sibling.
 
 def _product(a, y, out=None):
     """a * y in ``out`` or a fresh array, also for 0-d operands."""
     return np.multiply(a, y, out=np.empty(np.broadcast(a, y).shape)
                        if out is None else out)
+
+
+def _multiplication_grad(w, y, gw, gy, t):
+    return (None if gw is None else y), (None if gy is None else w)
 
 
 def _exponential(w, y, out=None):
@@ -158,11 +168,19 @@ def _exponential(w, y, out=None):
     return np.subtract(z, 1.0, out=z)
 
 
-def _exponential_grad(w, y):
-    u = w * y
-    e = np.exp(np.clip(u, -EXP_CLAMP, EXP_CLAMP))
-    live = (np.abs(u) < EXP_CLAMP).astype(float)
-    return y * e * live, w * e * live
+def _exponential_grad(w, y, gw, gy, t):
+    # y * e * live and w * e * live, with e = exp(clip(w * y)) and
+    # live = (|w * y| < EXP_CLAMP) as 1.0 or 0.0
+    e = gw if gy is None else gy
+    u = np.multiply(w, y, out=t)
+    np.clip(u, -EXP_CLAMP, EXP_CLAMP, out=e)
+    np.exp(e, out=e)
+    live = np.less(np.abs(u, out=u), EXP_CLAMP, out=u)
+    if gw is not None:
+        np.multiply(np.multiply(y, e, out=gw), live, out=gw)
+    if gy is not None:
+        np.multiply(np.multiply(w, e, out=gy), live, out=gy)
+    return gw, gy
 
 
 def _harmonic(w, y, out=None):
@@ -170,14 +188,25 @@ def _harmonic(w, y, out=None):
     return np.sin(z, out=z)
 
 
-def _harmonic_grad(w, y):
-    c = np.cos(w * y)
-    return y * c, w * c
+def _harmonic_grad(w, y, gw, gy, t):
+    # y * cos(w * y) and w * cos(w * y)
+    c = np.cos(np.multiply(w, y, out=t), out=t)
+    if gw is not None:
+        np.multiply(y, c, out=gw)
+    if gy is not None:
+        np.multiply(w, c, out=gy)
+    return gw, gy
 
 
 def _quadratic(w, y, out=None):
     z = _product(w, y, out)
     return np.multiply(z, y, out=z)
+
+
+def _quadratic_grad(w, y, gw, gy, t):
+    # y * y and 2 * w * y
+    return (None if gw is None else y * y,
+            None if gy is None else np.multiply(2.0 * w, y, out=gy))
 
 
 def _gaussian_exp(w, y, out=None):
@@ -187,14 +216,26 @@ def _gaussian_exp(w, y, out=None):
     return np.exp(g, out=g)
 
 
+def _one_minus_wyy(w, y, out):
+    """1 - w * y * y in ``out``."""
+    u = np.multiply(w, y, out=out)
+    np.multiply(u, y, out=u)
+    return np.subtract(1.0, u, out=u)
+
+
 def _gaussian(w, y, out=None):
     g = _gaussian_exp(w, y, out)
     return np.multiply(w, g, out=g)
 
 
-def _gaussian_grad(w, y):
-    g = np.exp(-w * y * y)
-    return g * (1.0 - w * y * y), -2.0 * w * w * y * g
+def _gaussian_grad(w, y, gw, gy, t):
+    # g * (1 - w * y * y) and -2 * w * w * y * g, with g = exp(-w * y * y)
+    g = _gaussian_exp(w, y, t)
+    if gw is not None:
+        np.multiply(g, _one_minus_wyy(w, y, gw), out=gw)
+    if gy is not None:
+        np.multiply(np.multiply(-2.0 * w * w, y, out=gy), g, out=gy)
+    return gw, gy
 
 
 def _dog(w, y, out=None):
@@ -202,16 +243,25 @@ def _dog(w, y, out=None):
     return np.multiply(z, _gaussian_exp(w, y), out=z)
 
 
-def _dog_grad(w, y):
-    g = np.exp(-w * y * y)
-    return y * g * (1.0 - w * y * y), w * g * (1.0 - 2.0 * w * y * y)
+def _dog_grad(w, y, gw, gy, t):
+    # y * g * (1 - w * y * y) and w * g * (1 - 2 * w * y * y), with
+    # g = exp(-w * y * y); y * g goes into gy, not yet written, when both
+    # partials are wanted, and into g itself when g is not read again
+    g = _gaussian_exp(w, y, t)
+    if gw is not None:
+        yg = np.multiply(y, g, out=g if gy is None else gy)
+        np.multiply(yg, _one_minus_wyy(w, y, gw), out=gw)
+    if gy is not None:
+        one_minus = _one_minus_wyy(2.0 * w, y, gy)
+        np.multiply(np.multiply(w, g, out=g), one_minus, out=gy)
+    return gw, gy
 
 
 _NODAL = {
-    NodalOp.MULTIPLICATION: _Op(_product, lambda w, y: (y, w), 1),
+    NodalOp.MULTIPLICATION: _Op(_product, _multiplication_grad, 1),
     NodalOp.EXPONENTIAL: _Op(_exponential, _exponential_grad, 6),  # mul + exp + sub
     NodalOp.HARMONIC: _Op(_harmonic, _harmonic_grad, 5),  # mul + sin
-    NodalOp.QUADRATIC: _Op(_quadratic, lambda w, y: (y * y, 2.0 * w * y), 2),
+    NodalOp.QUADRATIC: _Op(_quadratic, _quadratic_grad, 2),
     # gaussian: 2 mul + neg + exp + mul
     NodalOp.GAUSSIAN: _Op(_gaussian, _gaussian_grad, 8),
     NodalOp.DOG: _Op(_dog, _dog_grad, 9),
@@ -219,9 +269,11 @@ _NODAL = {
 
 
 # Pooling operators over the fan-in axis of [N, fan_in, width] nodal outputs.
-# Grads are elementwise, same shape as Z; maximum routes its subgradient to
-# the first maximal index along fan-in.  The k-correlation pool sums the
-# products of k + 1 adjacent entries, an empty sum when fan-in is <= k.
+# Grads write the elementwise gradient, same shape as Z, into ``out`` and may
+# use ``t``, a Z-shaped scratch array (fresh arrays where None); maximum
+# routes its subgradient to the first maximal index along fan-in.  The
+# k-correlation pool sums the products of k + 1 adjacent entries, an empty
+# sum when fan-in is <= k.
 
 def _correlation(k: int) -> _Op:
     def views(Z):
@@ -237,24 +289,35 @@ def _correlation(k: int) -> _Op:
             np.multiply(p, v, out=p)
         return p.sum(axis=1)
 
-    def grad(Z):
-        g = np.zeros_like(Z)
-        if Z.shape[1] > k:
+    def grad(Z, out, t=None):
+        # out[:, j:n + j] += the product of every view but the j-th, from zero
+        out.fill(0.0)
+        n = Z.shape[1] - k
+        if n > 0:
             v = views(Z)
             for j in range(k + 1):
-                g[:, j:Z.shape[1] - k + j, :] += reduce(mul, v[:j] + v[j + 1:])
-        return g
+                term, *rest = v[:j] + v[j + 1:]
+                for other in rest:
+                    term = np.multiply(term, other,
+                                       out=None if t is None else t[:, :n])
+                np.add(out[:, j:n + j], term, out=out[:, j:n + j])
+        return out
 
     return _Op(forward, grad, lambda n: max((k + 1) * (n - k) - 1, 0))
 
 
-def _maximum_grad(Z):
+def _summation_grad(Z, out, t=None):
+    out.fill(1.0)
+    return out
+
+
+def _maximum_grad(Z, out, t=None):
     first_max = Z.argmax(axis=1)[:, None, :]
-    return (np.arange(Z.shape[1])[:, None] == first_max).astype(float)
+    return np.equal(np.arange(Z.shape[1])[:, None], first_max, out=out)
 
 
 _POOL = {
-    PoolOp.SUMMATION: _Op(lambda Z: Z.sum(axis=1), np.ones_like,
+    PoolOp.SUMMATION: _Op(lambda Z: Z.sum(axis=1), _summation_grad,
                           lambda n: max(n - 1, 0)),
     PoolOp.CORRELATION1: _correlation(1),  # n - 1 products, n - 2 adds
     PoolOp.CORRELATION2: _correlation(2),  # 2(n - 2) products, n - 3 adds
@@ -315,9 +378,18 @@ def nodal_forward(op: NodalOp, w, y, out=None):
     return _NODAL[op].forward(np.asarray(w, float), np.asarray(y, float), out)
 
 
-def nodal_grad(op: NodalOp, w, y):
-    """Partials (dz/dw, dz/dy) of the nodal operator, broadcastable against z."""
-    return _NODAL[op].grad(np.asarray(w, dtype=float), np.asarray(y, dtype=float))
+def nodal_grad(op: NodalOp, w, y, want_w: bool = True, want_y: bool = True,
+               out=None):
+    """Partials (dz/dw, dz/dy) of the nodal operator, broadcastable against z;
+    a partial not wanted is None.  ``out`` is three z-shaped arrays: the
+    partials may be written into the first two, the third is scratch; fresh
+    ones are made when it is None."""
+    w, y = np.asarray(w, dtype=float), np.asarray(y, dtype=float)
+    if out is None:
+        shape = np.broadcast_shapes(w.shape, y.shape)
+        out = [np.empty(shape) for _ in range(3)]
+    gw, gy, t = out
+    return _NODAL[op].grad(w, y, gw if want_w else None, gy if want_y else None, t)
 
 
 def _probe(z, name: str) -> np.ndarray:
@@ -345,9 +417,10 @@ def pool_forward_batch(op: PoolOp, Z: np.ndarray) -> np.ndarray:
     return _POOL[op].forward(Z)
 
 
-def pool_grad_batch(op: PoolOp, Z: np.ndarray) -> np.ndarray:
-    """Elementwise pool gradients, same shape as Z."""
-    return _POOL[op].grad(Z)
+def pool_grad_batch(op: PoolOp, Z: np.ndarray, out=None, t=None) -> np.ndarray:
+    """Elementwise pool gradients, same shape as Z, written into ``out`` (a
+    fresh array when None); ``t`` is an optional Z-shaped scratch array."""
+    return _POOL[op].grad(Z, np.empty_like(Z) if out is None else out, t)
 
 
 def pool_flops(op: PoolOp, fan_in: int) -> int:

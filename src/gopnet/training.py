@@ -101,11 +101,19 @@ class TrainableSelection:
         return cls(frozenset({(layer_index, block_index)}), include_output)
 
     def validate(self, net: GopNetwork) -> None:
+        """Every reference names a block, and a layer's selected blocks are
+        consecutive, so its trained columns are one span."""
         for li, bi in self.block_refs:
             if not 0 <= li < len(net.hidden):
                 raise ConfigError(f"selection references missing layer {li}")
             if not 0 <= bi < len(net.hidden[li].blocks):
                 raise ConfigError(f"selection references missing block ({li}, {bi})")
+        for li in {li for li, _ in self.block_refs}:
+            chosen = [bi for lj, bi in self.block_refs if lj == li]
+            if max(chosen) - min(chosen) + 1 != len(chosen):
+                raise ConfigError(
+                    f"selected blocks of layer {li} are not consecutive: "
+                    f"{sorted(chosen)}")
 
 
 @dataclass
@@ -183,18 +191,18 @@ def evaluate_metrics(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
 @dataclass
 class _LayerPlan:
     """One layer's constants over the training-mode passes of one call: only
-    live columns and selected blocks change, so frozen columns are fixed."""
+    live columns and selected blocks change, so frozen columns are fixed.
+    Norm arrays are views of the layer's, which updates change in place."""
 
     spans: list                 # column slice of each block
     visit: list                 # (block_index, selected) pairs backward visits
-    live: np.ndarray            # bool mask of batch-stat normalized columns
-    frozen: np.ndarray
-    any_live: bool
-    any_frozen: bool
+    live: slice | None          # batch-stat normalized columns, if any
+    live_norm: tuple            # (scale, shift, mean, std) of the live columns
     live_spans: dict            # selected block -> its slice of the live columns
-    frozen_norm: tuple          # (scale, mean, std, shift) of the frozen columns
-    frozen_gain: np.ndarray     # scale / std of the frozen columns
+    frozen: list                # (span, scale, mean, std, shift) of frozen spans
+    frozen_gain: list           # (span, scale / std) of frozen spans backward reads
     Z: list                     # per block, a [rows, fan_in, width] buffer
+    scratch: list               # per block, three more, shared by every block
 
 
 @dataclass
@@ -204,31 +212,56 @@ class _Plan:
     include_output: bool
 
 
+def _outside(span: slice | None, within: slice) -> list:
+    """The non-empty parts of ``within`` outside ``span``, a sub-span of it."""
+    if span is None:
+        parts = [within]
+    else:
+        parts = [slice(within.start, span.start), slice(span.stop, within.stop)]
+    return [p for p in parts if p.start < p.stop]
+
+
 def _plan(net: GopNetwork, selection: TrainableSelection, rows: int) -> _Plan:
-    """The plan of passes over at most ``rows`` rows at a time."""
+    """The plan of passes over at most ``rows`` rows at a time.
+
+    A layer's selected blocks are consecutive (``TrainableSelection.validate``),
+    so its live columns, and the columns backward reads, are one span each.
+    """
     lowest = min((li for li, _ in selection.block_refs), default=len(net.hidden))
+    flat = [np.empty(max(rows * layer.fan_in * b.width for layer in net.hidden
+                         for b in layer.blocks)) for _ in range(3)]
     layers = []
     for li, layer in enumerate(net.hidden):
-        if not layer.norm.fitted:
+        norm = layer.norm
+        if not norm.fitted:
             raise UnfitNormalization(f"layer {li} normalization is unfitted")
         spans = [layer.block_slice(bi) for bi in range(len(layer.blocks))]
-        selected = [(li, bi) in selection.block_refs for bi in range(len(spans))]
-        live = np.zeros(layer.width, dtype=bool)
-        live_spans = {}
-        if layer.norm.mode is NormMode.BATCHNORM:
-            n_live = 0
-            for bi in np.flatnonzero(selected).tolist():
-                live[spans[bi]] = True
-                live_spans[bi] = slice(n_live, n_live + layer.blocks[bi].width)
-                n_live += layer.blocks[bi].width
-        frozen, norm = ~live, layer.norm
+        chosen = sorted(bi for lj, bi in selection.block_refs if lj == li)
+        live = read = None
+        if chosen:
+            read = slice(spans[chosen[0]].start, spans[chosen[-1]].stop)
+            if norm.mode is NormMode.BATCHNORM:
+                live = read
+        if li > lowest:
+            read = slice(0, layer.width)
+        live_norm, live_spans = None, {}
+        if live is not None:
+            live_norm = (norm.scale[live], norm.shift[live], norm.mean[live],
+                         norm.std[live])
+            live_spans = {bi: slice(spans[bi].start - live.start,
+                                    spans[bi].stop - live.start) for bi in chosen}
+        shapes = [(rows, layer.fan_in, b.width) for b in layer.blocks]
         layers.append(_LayerPlan(
-            spans, [(bi, sel) for bi, sel in enumerate(selected) if sel or li > lowest],
-            live, frozen, bool(live.any()), bool(frozen.any()), live_spans,
-            (norm.scale[frozen], norm.mean[frozen], norm.std[frozen],
-             norm.shift[frozen]),
-            norm.scale[frozen] / norm.std[frozen],
-            [np.empty((rows, layer.fan_in, b.width)) for b in layer.blocks]))
+            spans, [(bi, bi in chosen) for bi in range(len(spans))
+                    if bi in chosen or li > lowest],
+            live, live_norm, live_spans,
+            [(sp, norm.scale[sp], norm.mean[sp], norm.std[sp], norm.shift[sp])
+             for sp in _outside(live, slice(0, layer.width))],
+            [(sp, norm.scale[sp] / norm.std[sp])
+             for sp in (_outside(live, read) if read is not None else [])],
+            [np.empty(shape) for shape in shapes],
+            [tuple(f[:np.prod(shape)].reshape(shape) for f in flat)
+             for shape in shapes]))
     return _Plan(layers, lowest, selection.include_output)
 
 
@@ -240,7 +273,7 @@ class _LayerCache:
     xhat: np.ndarray | None     # [N, n_live]
     sigma: np.ndarray | None    # [n_live]
     batch_mean: np.ndarray | None
-    out: np.ndarray             # post-normalization output
+    a: np.ndarray               # output after normalization and any dropout
     drop_mask: np.ndarray | None
 
 
@@ -261,25 +294,24 @@ def _forward_train(net: GopNetwork, X: np.ndarray, plan: _Plan,
         inputs = a
         Zs, xs, hs = zip(*(block._parts(inputs, Z[:len(inputs)])
                            for block, Z in zip(layer.blocks, lp.Z)))
-        H_raw = np.concatenate(hs, axis=1)
-        norm = layer.norm
-        scale, mean, std, shift = lp.frozen_norm
-        # masks, not per-block slices: H_raw[:, mask] is an F-ordered copy whose
-        # axis-0 sums run pairwise; a slice view sums row by row and would move
-        # the batch statistics in their last bits
-        xhat = sigma = batch_mean = None
+        H_raw = hs[0] if len(hs) == 1 else np.concatenate(hs, axis=1)
         out = np.empty_like(H_raw)
-        if lp.any_frozen:
-            out[:, lp.frozen] = scale * (H_raw[:, lp.frozen] - mean) / std + shift
-        if lp.any_live:
-            h_live = H_raw[:, lp.live]
+        for sp, scale, mean, std, shift in lp.frozen:
+            out[:, sp] = scale * (H_raw[:, sp] - mean) / std + shift
+        xhat = sigma = batch_mean = None
+        if lp.live is not None:
+            # an F-ordered copy, as a boolean-mask gather makes: its axis-0
+            # sums run pairwise, where a C-ordered one sums row by row and
+            # would move the batch statistics in their last bits
+            h_live = np.asfortranarray(H_raw[:, lp.live])
             n = len(h_live)
             # h.mean(axis=0) and h.var(axis=0) as numpy computes them
             batch_mean = np.add.reduce(h_live, axis=0) / n
             centered = h_live - batch_mean
             sigma = np.sqrt(np.add.reduce(centered * centered, axis=0) / n + BN_EPS)
             xhat = centered / sigma
-            out[:, lp.live] = norm.scale[lp.live] * xhat + norm.shift[lp.live]
+            scale, shift = lp.live_norm[:2]
+            out[:, lp.live] = scale * xhat + shift
         drop_mask = None
         if dropout_hidden > 0.0:
             drop_mask = (rng.random(out.shape) >= dropout_hidden) / (1.0 - dropout_hidden)
@@ -287,7 +319,7 @@ def _forward_train(net: GopNetwork, X: np.ndarray, plan: _Plan,
         else:
             a = out
         caches.append(_LayerCache(inputs, Zs, xs, xhat, sigma,
-                                  batch_mean, out, drop_mask))
+                                  batch_mean, a, drop_mask))
     P = a @ net.output_weights + net.output_bias
     return P, caches
 
@@ -300,6 +332,7 @@ def training_loss(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
     Batch-stat normalization applies to the selected blocks' columns exactly
     as in backward, so finite differences of this function match it.
     """
+    selection.validate(net)
     X = net.hidden[0].blocks[0]._checked(X)
     P, _ = _forward_train(net, X, _plan(net, selection, len(X)))
     value, _ = loss_and_grad(P, Y, loss)
@@ -321,22 +354,21 @@ def backward(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
 def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
                           plan: _Plan) -> Gradients:
     grads = Gradients()
-    last = caches[-1]
-    a_last = last.out if last.drop_mask is None else last.out * last.drop_mask
     if plan.include_output:
-        grads.output = (a_last.T @ dP, dP.sum(axis=0))
+        grads.output = (caches[-1].a.T @ dP, dP.sum(axis=0))
     dA = dP @ net.output_weights.T
     for li in range(len(net.hidden) - 1, plan.lowest - 1, -1):
         layer, lp, cache = net.hidden[li], plan.layers[li], caches[li]
         dout = dA if cache.drop_mask is None else dA * cache.drop_mask
+        # only the columns of the blocks visited below are read
         dH_raw = np.empty(dout.shape)
-        if lp.any_frozen:
-            dH_raw[:, lp.frozen] = dout[:, lp.frozen] * lp.frozen_gain
-        if lp.any_live:
-            d_live = dout[:, lp.live]
+        for sp, gain in lp.frozen_gain:
+            np.multiply(dout[:, sp], gain, out=dH_raw[:, sp])
+        if lp.live is not None:
+            d_live = np.asfortranarray(dout[:, lp.live])  # as in the forward
             xhat = cache.xhat
             n = len(d_live)
-            dxhat = d_live * layer.norm.scale[lp.live]
+            dxhat = d_live * lp.live_norm[0]
             mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=0) / n
             dH_raw[:, lp.live] = (dxhat - np.add.reduce(dxhat, axis=0) / n
                                   - xhat * mean_dxhat_xhat) / cache.sigma
@@ -346,10 +378,11 @@ def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
                 grads.norm[(li, bi)] = (dscale_cols[sl], dshift_cols[sl])
         need_dinputs = li > plan.lowest
         dinputs = np.zeros_like(cache.inputs) if need_dinputs else None
+        rows = len(cache.inputs)
         for bi, selected in lp.visit:
             dW, dbias, dblock = layer.blocks[bi].backward(
                 cache.inputs, cache.Z[bi], cache.x[bi], dH_raw[:, lp.spans[bi]],
-                selected, need_dinputs)
+                selected, need_dinputs, [s[:rows] for s in lp.scratch[bi]])
             if selected:
                 grads.blocks[(li, bi)] = (dW, dbias)
             if need_dinputs:
@@ -364,11 +397,13 @@ def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
 
 def _apply_update(net: GopNetwork, grads: Gradients, lr: float, spec: TrainSpec,
                   plan: _Plan, epoch: int) -> None:
+    # no decay term at lam == 0: for finite W, dW + 0 * W differs from dW
+    # only in the sign of a zero, which W - lr * dW does not keep
     decay = spec.weight_reg.lam if isinstance(spec.weight_reg, Decay) else 0.0
     max_norm = spec.weight_reg.limit if isinstance(spec.weight_reg, MaxNorm) else None
     for (li, bi), (dW, db) in grads.blocks.items():
         block = net.hidden[li].blocks[bi]
-        block.weights -= lr * (dW + decay * block.weights)
+        block.weights -= lr * (dW + decay * block.weights if decay else dW)
         block.bias -= lr * db
         if max_norm is not None:
             _project_rows(block.weights, max_norm, epoch)
@@ -378,31 +413,33 @@ def _apply_update(net: GopNetwork, grads: Gradients, lr: float, spec: TrainSpec,
         norm.shift[sl] -= lr * dshift
     if grads.output is not None:
         dB, dbias = grads.output
-        net.output_weights -= lr * (dB + decay * net.output_weights)
+        W = net.output_weights
+        W -= lr * (dB + decay * W if decay else dB)
         net.output_bias -= lr * dbias
         if max_norm is not None:
-            _project_rows(net.output_weights, max_norm, epoch)
+            _project_rows(W, max_norm, epoch)
 
 
 def _project_rows(W: np.ndarray, limit: float, epoch: int) -> None:
     """Max-norm projection of W's rows; a non-finite norm is divergence."""
     norms = np.sqrt(np.add.reduce(W * W, axis=1))  # np.linalg.norm(W, axis=1)
+    if norms.max() <= limit:  # False for a NaN norm too
+        return
     if not np.isfinite(norms).all():
         raise NonFiniteLoss(f"non-finite weight norm at epoch {epoch}", epoch=epoch)
     over = norms > limit
-    if over.any():
-        W[over] *= (limit / norms[over])[:, None]
+    W[over] *= (limit / norms[over])[:, None]
 
 
-def _update_running_stats(net: GopNetwork, caches, plan: _Plan) -> None:
-    for layer, lp, cache in zip(net.hidden, plan.layers, caches):
-        if not lp.any_live:
+def _update_running_stats(caches, plan: _Plan) -> None:
+    for lp, cache in zip(plan.layers, caches):
+        if lp.live is None:
             continue
-        live = lp.live
-        layer.norm.mean[live] = (BN_MOMENTUM * layer.norm.mean[live]
-                                 + (1.0 - BN_MOMENTUM) * cache.batch_mean)
-        layer.norm.std[live] = (BN_MOMENTUM * layer.norm.std[live]
-                                + (1.0 - BN_MOMENTUM) * cache.sigma)
+        _, _, mean, std = lp.live_norm
+        mean *= BN_MOMENTUM
+        mean += (1.0 - BN_MOMENTUM) * cache.batch_mean
+        std *= BN_MOMENTUM
+        std += (1.0 - BN_MOMENTUM) * cache.sigma
 
 
 def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
@@ -412,9 +449,9 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
     Dropout and batch statistics apply during training only; the network is
     usable for inference at every point after this returns.  A non-finite
     loss or weight norm, or an epoch that diverges by the DIVERGENCE_RATIO
-    rule, raises NonFiniteLoss.  The per-layer plan (column masks and spans,
-    the frozen columns' normalization, the nodal tensor buffers) is built
-    once per call.
+    rule, raises NonFiniteLoss.  The per-layer plan (column spans, the
+    frozen columns' normalization, the nodal tensor and grad buffers) and
+    the floating-point error state are set up once per call.
     """
     spec.validate()
     selection.validate(net)
@@ -425,34 +462,32 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
     labels = Y.argmax(axis=1)
     rng = np.random.default_rng(spec.seed)
     log = TrainLog()
-    epoch_index = 0
     loss_limit = None
     n = X.shape[0]
-    for lr, epochs in spec.lr_schedule:
-        for _ in range(int(epochs)):
+    lrs = [lr for lr, epochs in spec.lr_schedule for _ in range(int(epochs))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch_index, lr in enumerate(lrs):
             order = rng.permutation(n)
             loss_sum = 0.0
             hits = 0
             for start in range(0, n, spec.batch_size):
                 idx = order[start:start + spec.batch_size]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    P, caches = _forward_train(
-                        net, X[idx], plan,
-                        dropout_input=spec.dropout_input,
-                        dropout_hidden=spec.dropout_hidden, rng=rng)
-                    batch_loss, dP = loss_and_grad(P, Y[idx], spec.loss)
-                    if not np.isfinite(batch_loss):
-                        raise NonFiniteLoss(
-                            f"non-finite training loss at epoch {epoch_index}",
-                            epoch=epoch_index)
-                    if loss_limit is None:  # the loss before any update
-                        loss_limit = DIVERGENCE_RATIO * max(batch_loss,
-                                                            DIVERGENCE_FLOOR)
-                    loss_sum += batch_loss * len(idx)
-                    hits += int((P.argmax(axis=1) == labels[idx]).sum())
-                    grads = _backward_from_caches(net, caches, dP, plan)
-                    _apply_update(net, grads, lr, spec, plan, epoch_index)
-                    _update_running_stats(net, caches, plan)
+                P, caches = _forward_train(
+                    net, X[idx], plan, dropout_input=spec.dropout_input,
+                    dropout_hidden=spec.dropout_hidden, rng=rng)
+                batch_loss, dP = loss_and_grad(P, Y[idx], spec.loss)
+                if not np.isfinite(batch_loss):
+                    raise NonFiniteLoss(
+                        f"non-finite training loss at epoch {epoch_index}",
+                        epoch=epoch_index)
+                if loss_limit is None:  # the loss before any update
+                    loss_limit = DIVERGENCE_RATIO * max(batch_loss,
+                                                        DIVERGENCE_FLOOR)
+                loss_sum += batch_loss * len(idx)
+                hits += int((P.argmax(axis=1) == labels[idx]).sum())
+                grads = _backward_from_caches(net, caches, dP, plan)
+                _apply_update(net, grads, lr, spec, plan, epoch_index)
+                _update_running_stats(caches, plan)
             train_loss = loss_sum / n
             diverged = train_loss > loss_limit
             val_loss = val_acc = None
@@ -467,7 +502,6 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
                     epoch=epoch_index)
             log.rows.append(TrainLogRow(epoch_index, lr, train_loss, hits / n,
                                         val_loss, val_acc))
-            epoch_index += 1
     return log
 
 

@@ -119,6 +119,44 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 3
         assert "first block of layer 0 diverged" in capsys.readouterr().err
 
+    @staticmethod
+    def _train_on(tmp_path, text, capsys):
+        """Exit code, stderr and output directory of a run on a CSV."""
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dataset": {"path": str(data)}}))
+        out = tmp_path / "out"
+        code = main(fast_train_args(str(cfg), str(out)))
+        return code, capsys.readouterr().err, out
+
+    def test_label_only_csv_exits_2_naming_the_path(self, tmp_path, capsys):
+        code, err, out = self._train_on(tmp_path, "label\n" + "a\nb\n" * 10,
+                                        capsys)
+        assert code == 2
+        assert err.startswith("error: dataset.path: ")
+        assert "no feature columns" in err
+        assert not out.exists()
+
+    def test_overflowing_feature_exits_2_naming_it(self, tmp_path, capsys):
+        X, y = two_moons(40, 0.1, seed=0)
+        code, err, out = self._train_on(tmp_path, "x1,huge,label\n" + "".join(
+            f"{a!r},{1e300 * (2.0 + b)!r},{c}\n"
+            for (a, b), c in zip(X.tolist(), y)), capsys)
+        assert code == 2
+        assert "'huge'" in err and "standardized" in err
+        assert not out.exists()
+
+    def test_class_too_small_to_stratify_exits_2(self, tmp_path, capsys):
+        X, y = two_moons(40, 0.1, seed=0)
+        rows = [f"{a!r},{b!r},c{c}" for (a, b), c in zip(X.tolist(), y)]
+        code, err, out = self._train_on(
+            tmp_path, "x1,x2,label\n" + "\n".join(rows + ["0.0,0.0,lone"]),
+            capsys)
+        assert code == 2
+        assert "cannot stratify" in err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, run_config):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(fast_train_args(run_config, out1)) == 0

@@ -16,6 +16,7 @@ from gopnet.errors import (
     RaggedRows,
     UnknownLabelColumn,
 )
+from gopnet.operators import STD_FLOOR
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -64,6 +65,11 @@ class TestLoadCsv:
         ds = load_csv(path)
         assert_array_equal(ds.splits["train"], [0, 1])
 
+    def test_label_only_file_has_no_features(self, tmp_path):
+        path = write(tmp_path, "label\nx\ny\n")
+        with pytest.raises(ConfigError, match="no feature columns"):
+            load_csv(path)
+
 
 class TestStandardization:
     def test_fit_on_train_only_leaves_test_means_nonzero(self, rng):
@@ -80,6 +86,22 @@ class TestStandardization:
         path = write(tmp_path, "a,label\n1,x\n2,x\n3,y\n")
         ds = apply_feature_standardization(load_csv(path))
         assert abs(ds.X[:, 0].mean()) < 1e-12
+
+    @pytest.mark.parametrize("header, named", [(True, "'big'"),
+                                               (False, "at index 1")])
+    def test_overflowing_statistics_name_the_feature(self, tmp_path, header,
+                                                     named):
+        rows = "1,1e300,x\n2,-1e300,y\n3,1e300,x\n"
+        path = write(tmp_path, ("a,big,label\n" if header else "") + rows)
+        ds = load_csv(path, label_column=2, header=header)
+        with pytest.raises(ConfigError, match=named):
+            apply_feature_standardization(ds)
+
+    def test_std_is_floored_at_the_hidden_layers_floor(self):
+        X = np.array([[0.1, 1.0], [0.1, 2.0], [0.1, 3.0]])
+        out = apply_feature_standardization(Dataset(X, np.array([0, 1, 0]), 2))
+        centered = X[:, 0] - X[:, 0].mean()
+        assert_array_equal(out.X[:, 0], centered / STD_FLOOR)
 
 
 class TestSplitDataset:

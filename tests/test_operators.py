@@ -32,6 +32,7 @@ from gopnet.operators import (
     pool_forward,
     pool_forward_batch,
     pool_grad,
+    pool_grad_batch,
 )
 
 from conftest import central_difference, rel_error
@@ -389,12 +390,12 @@ class TestRewrittenGradsKeepTheirBytes:
                         elements=st.one_of(TIED, OPERAND)))
     @settings(max_examples=150, deadline=None)
     def test_maximum_grad(self, Z):
-        assert same_bytes(_POOL[PoolOp.MAXIMUM].grad(Z),
+        assert same_bytes(pool_grad_batch(PoolOp.MAXIMUM, Z),
                           put_along_axis_maximum_grad(Z))
 
     def test_maximum_grad_at_fan_in_one(self):
         Z = np.array([[[np.nan, -np.inf, 0.0]]])
-        assert same_bytes(_POOL[PoolOp.MAXIMUM].grad(Z), np.ones((1, 1, 3)))
+        assert same_bytes(pool_grad_batch(PoolOp.MAXIMUM, Z), np.ones((1, 1, 3)))
 
     @given(x=hnp.arrays(float, hnp.array_shapes(max_dims=2, max_side=6),
                         elements=st.one_of(TIED, OPERAND, st.floats(-800, 800))))
@@ -433,3 +434,153 @@ class TestRewrittenGradsKeepTheirBytes:
             assert same_bytes(dW, (dZ * gw).sum(axis=0))
             assert same_bytes(dbias, dx.sum(axis=0))
             assert same_bytes(dinputs, (dZ * gy).sum(axis=2))
+
+
+# The closed forms the in-place nodal and pool grad chains replaced, as they
+# were written before: each chain must give their bytes, alone or with its
+# sibling partial, whatever its output and scratch arrays held before.
+CLOSED_FORM_NODAL_GRAD = {
+    NodalOp.MULTIPLICATION: lambda w, y: (y, w),
+    NodalOp.EXPONENTIAL: lambda w, y: (
+        y * np.exp(np.clip(w * y, -EXP_CLAMP, EXP_CLAMP))
+        * (np.abs(w * y) < EXP_CLAMP).astype(float),
+        w * np.exp(np.clip(w * y, -EXP_CLAMP, EXP_CLAMP))
+        * (np.abs(w * y) < EXP_CLAMP).astype(float)),
+    NodalOp.HARMONIC: lambda w, y: (y * np.cos(w * y), w * np.cos(w * y)),
+    NodalOp.QUADRATIC: lambda w, y: (y * y, 2.0 * w * y),
+    NodalOp.GAUSSIAN: lambda w, y: (
+        np.exp(-w * y * y) * (1.0 - w * y * y),
+        -2.0 * w * w * y * np.exp(-w * y * y)),
+    NodalOp.DOG: lambda w, y: (
+        y * np.exp(-w * y * y) * (1.0 - w * y * y),
+        w * np.exp(-w * y * y) * (1.0 - 2.0 * w * y * y)),
+}
+
+
+def closed_form_correlation_grad(Z, k):
+    g = np.zeros_like(Z)
+    n = Z.shape[1] - k
+    if n > 0:
+        v = [Z[:, j:n + j, :] for j in range(k + 1)]
+        for j in range(k + 1):
+            g[:, j:n + j, :] += reduce(mul, v[:j] + v[j + 1:])
+    return g
+
+
+# ±inf, NaN, ±0, operands whose w * y lands on and next to ±EXP_CLAMP, ones
+# whose u = w * y * y (or w * y) is subnormal, and ones whose double overflows
+EDGE_VALUES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.0, 0.5,
+    EXP_CLAMP, -EXP_CLAMP, EXP_CLAMP / 2, np.nextafter(EXP_CLAMP, 0.0),
+    np.nextafter(EXP_CLAMP, np.inf), -np.nextafter(EXP_CLAMP, np.inf),
+    5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, -3e-162, 1e-154,
+    1e308, -np.finfo(float).max]
+GRAD_OPERAND = st.one_of(st.sampled_from(EDGE_VALUES), OPERAND)
+
+
+@st.composite
+def grad_operands(draw):
+    """(w, y) block-broadcast [1, F, W] x [N, F, 1], or two full [N, F, W]
+    tensors.  No 0-d operands: on those the closed forms run numpy's scalar
+    math, whose NaN signs need not match its array loops'."""
+    n, f, w = (draw(st.integers(1, 4)) for _ in range(3))
+    shapes = draw(st.sampled_from([((1, f, w), (n, f, 1)),
+                                   ((n, f, w), (n, f, w))]))
+    return tuple(draw(hnp.arrays(float, shape, elements=GRAD_OPERAND))
+                 for shape in shapes)
+
+
+def garbage(shape, seed=0):
+    """An output or scratch array holding whatever a reused buffer might."""
+    values = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -3.5, 1e300]
+    return np.random.default_rng(seed).choice(values, size=shape)
+
+
+def check_nodal_chain(op, w, y):
+    """Both partials, alone into reused buffers and together into fresh
+    ones, have the bytes of the closed form."""
+    shape = np.broadcast_shapes(w.shape, y.shape)
+    with np.errstate(all="ignore"):
+        expected = CLOSED_FORM_NODAL_GRAD[op](w, y)
+        together = nodal_grad(op, w, y)
+        gw, none_y = nodal_grad(op, w, y, True, False,
+                                [garbage(shape, i) for i in range(3)])
+        none_w, gy = nodal_grad(op, w, y, False, True,
+                                [garbage(shape, i) for i in range(3, 6)])
+    assert none_w is None and none_y is None
+    for partial, alone, want in zip(together, (gw, gy), expected):
+        assert same_bytes(partial, want)
+        assert same_bytes(alone, want)
+
+
+class TestGradChainsKeepTheirBytes:
+    @pytest.mark.parametrize("op", list(NodalOp))
+    def test_nodal_partials_on_every_pair_of_edge_operands(self, op):
+        edge = np.array(EDGE_VALUES)
+        check_nodal_chain(op, edge[None, None, :], edge[:, None, None])
+        w, y = np.meshgrid(edge, edge)
+        check_nodal_chain(op, w[None], y[None])
+
+    @pytest.mark.parametrize("op", list(NodalOp))
+    @given(operands=grad_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_nodal_partials_alone_and_together(self, op, operands):
+        check_nodal_chain(op, *operands)
+
+    @pytest.mark.parametrize("pool, k", [(PoolOp.CORRELATION1, 1),
+                                         (PoolOp.CORRELATION2, 2)])
+    @given(Z=hnp.arrays(float, hnp.array_shapes(min_dims=3, max_dims=3,
+                                                max_side=6),
+                        elements=st.one_of(TIED, OPERAND)))
+    @settings(max_examples=100, deadline=None)
+    def test_correlation_grad(self, pool, k, Z):
+        with np.errstate(all="ignore"):
+            expected = closed_form_correlation_grad(Z, k)
+            fresh = pool_grad_batch(pool, Z)
+            reused = pool_grad_batch(pool, Z, garbage(Z.shape, 0),
+                                     garbage(Z.shape, 1))
+        assert same_bytes(fresh, expected)
+        assert same_bytes(reused, expected)
+
+    @given(Z=hnp.arrays(float, hnp.array_shapes(min_dims=3, max_dims=3,
+                                                max_side=5),
+                        elements=st.one_of(TIED, OPERAND)))
+    @settings(max_examples=100, deadline=None)
+    def test_maximum_grad_into_a_reused_buffer(self, Z):
+        got = pool_grad_batch(PoolOp.MAXIMUM, Z, garbage(Z.shape))
+        assert same_bytes(got, put_along_axis_maximum_grad(Z))
+
+    @given(op_index=st.integers(0, LIBRARY_SIZE - 1), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_block_backward_computes_each_partial_once_asked(self, op_index,
+                                                             data):
+        op_set = OperatorSet.from_index(op_index)
+        n, fan_in, width = (data.draw(st.integers(1, 4)) for _ in range(3))
+        finite = st.floats(-3, 3)
+        block = NeuronBlock(
+            op_set, data.draw(hnp.arrays(float, (fan_in, width), elements=finite)),
+            data.draw(hnp.arrays(float, width, elements=finite)))
+        inputs = data.draw(hnp.arrays(float, (n, fan_in), elements=GRAD_OPERAND))
+        dh = data.draw(hnp.arrays(float, (n, width),
+                                  elements=st.one_of(TIED, finite)))
+        shape = (n, fan_in, width)
+        with np.errstate(all="ignore"):
+            Z, x, _ = block.forward_parts(inputs)
+            dx = dh * activation_grad(op_set.activation, x)
+            dZ = dx[:, None, :] * pool_grad_batch(op_set.pool, Z)
+            gw, gy = CLOSED_FORM_NODAL_GRAD[op_set.nodal](
+                block.weights[None], inputs[:, :, None])
+            want_dW, want_dinputs = (dZ * gw).sum(axis=0), (dZ * gy).sum(axis=2)
+            want_dbias = dx.sum(axis=0)
+            got = {}
+            for flags in ((True, False), (False, True), (True, True)):
+                Z, x, _ = block.forward_parts(inputs)  # backward consumes Z
+                scratch = [garbage(shape, i) for i in range(3)]
+                got[flags] = block.backward(inputs, Z, x, dh, *flags, scratch)
+        assert got[(True, False)][2] is None
+        assert got[(False, True)][:2] == (None, None)
+        for dW, dbias, _ in (got[(True, False)], got[(True, True)]):
+            assert same_bytes(dW, want_dW)
+            assert same_bytes(dbias, want_dbias)
+        for _, _, dinputs in (got[(False, True)], got[(True, True)]):
+            assert same_bytes(dinputs, want_dinputs)

@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -451,6 +453,100 @@ class TestBatchNormInit:
         finetune(net, (X, Y), None, spec, TrainableSelection.single_block(0, 1))
         assert_array_equal(net.hidden[0].norm.mean[:3], frozen_mean)
         assert not np.array_equal(net.hidden[0].norm.mean[3:], np.full(3, 0.25))
+
+
+def middle_block_net(rng):
+    """A batch-norm layer of three blocks over 3 inputs, then a frozen
+    batch-norm layer, so the middle block's live columns have frozen ones on
+    both sides and its gradient crosses frozen columns above."""
+    ops = [OperatorSet(NodalOp.HARMONIC, PoolOp.SUMMATION, ActivationOp.TANH),
+           OperatorSet(NodalOp.DOG, PoolOp.CORRELATION1, ActivationOp.SIGMOID),
+           OperatorSet(NodalOp.EXPONENTIAL, PoolOp.SUMMATION,
+                       ActivationOp.SOFTPLUS)]
+    fit = rng.normal(size=(40, 3))
+    layers = []
+    for layer_ops, fan_in in ((ops, 3), (ops[:1], 9)):
+        blocks = [NeuronBlock(op, rng.uniform(-1, 1, (fan_in, width)),
+                              rng.uniform(-1, 1, width))
+                  for op, width in zip(layer_ops, (3, 4, 2))]
+        norm = NormState()
+        norm.fit(np.concatenate([b.forward(fit) for b in blocks], axis=1))
+        layer = GopLayer(blocks, norm)
+        init_batchnorm_from_standardization(layer)
+        norm.scale = rng.uniform(0.5, 1.5, size=layer.width)
+        norm.shift = rng.uniform(-0.5, 0.5, size=layer.width)
+        layers.append(layer)
+        fit = layer.forward(fit)
+    return GopNetwork(3, layers, rng.normal(size=(3, 2)) * 0.5,
+                      rng.normal(size=2) * 0.1)
+
+
+MIDDLE_BLOCK_FINETUNE_SHA256 = (
+    "a2dcf8aa95e8fec3f5aba2c4c4ad1281dbc9294ff2bda2ffc8d4f9c03eebebe7")
+
+
+class TestMiddleBlockSpan:
+    """Growth selects no block, one block or all blocks, so a layer's live
+    columns always reach an end; these select the middle one of three."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(17)
+        self.net = middle_block_net(self.rng)
+        self.X = self.rng.normal(size=(14, 3))
+        self.Y = one_hot(self.rng.integers(0, 2, size=14), 2)
+        self.selection = TrainableSelection.single_block(0, 1)
+
+    def test_gradients_match_finite_difference(self):
+        grads = check_block_grads(self.net, self.X, self.Y, self.selection,
+                                  self.rng)
+        assert list(grads.blocks) == [(0, 1)] and list(grads.norm) == [(0, 1)]
+        norm = self.net.hidden[0].norm
+        dscale, dshift = grads.norm[(0, 1)]
+        for j in range(4):
+            fd = fd_gradient(self.net, self.X, self.Y, self.selection,
+                             norm.scale, 3 + j)
+            assert np.isclose(fd, dscale[j], rtol=1e-4, atol=1e-6)
+            fd = fd_gradient(self.net, self.X, self.Y, self.selection,
+                             norm.shift, 3 + j)
+            assert np.isclose(fd, dshift[j], rtol=1e-4, atol=1e-6)
+
+    def test_finetune_reruns_bit_for_bit_and_leaves_the_rest(self):
+        spec = TrainSpec(lr_schedule=((0.05, 3),), batch_size=5, seed=4)
+        runs = []
+        for _ in range(2):
+            net = copy.deepcopy(self.net)
+            log = finetune(net, (self.X, self.Y), (self.X, self.Y), spec,
+                           self.selection)
+            runs.append((net.to_json(), log.as_records()))
+        assert runs[0] == runs[1]
+        # recorded when batch norm gathered its columns through boolean masks
+        assert hashlib.sha256(json.dumps(runs[0]).encode()).hexdigest() == (
+            MIDDLE_BLOCK_FINETUNE_SHA256)
+        net = GopNetwork.from_json(runs[0][0])
+        before, after = self.net.hidden[0], net.hidden[0]
+        for bi in (0, 2):
+            assert_array_equal(after.blocks[bi].weights, before.blocks[bi].weights)
+        assert not np.array_equal(after.blocks[1].weights,
+                                  before.blocks[1].weights)
+        frozen = np.r_[0:3, 7:9]
+        for name in ("mean", "std", "scale", "shift"):
+            assert_array_equal(getattr(after.norm, name)[frozen],
+                               getattr(before.norm, name)[frozen])
+            assert not np.array_equal(getattr(after.norm, name)[3:7],
+                                      getattr(before.norm, name)[3:7])
+        for name in ("mean", "std", "scale", "shift"):
+            assert_array_equal(getattr(net.hidden[1].norm, name),
+                               getattr(self.net.hidden[1].norm, name))
+
+    def test_blocks_of_a_layer_must_be_consecutive(self):
+        gapped = TrainableSelection(frozenset({(0, 0), (0, 2)}))
+        with pytest.raises(ConfigError, match="not consecutive"):
+            gapped.validate(self.net)
+        spec = TrainSpec(lr_schedule=((0.01, 1),))
+        with pytest.raises(ConfigError, match="not consecutive"):
+            finetune(copy.deepcopy(self.net), (self.X, self.Y), None, spec,
+                     gapped)
+        TrainableSelection(frozenset({(0, 1), (0, 2), (1, 0)})).validate(self.net)
 
 
 class TestHandWrittenReductions:
