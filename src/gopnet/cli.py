@@ -22,7 +22,6 @@ import numpy as np
 from .data import (SPLIT_NAMES, apply_feature_standardization, load_csv,
                    split_dataset)
 from .errors import (
-    ClassTooSmall,
     ConfigError,
     DimensionMismatch,
     FormatError,
@@ -262,6 +261,8 @@ def load_dataset(run: RunConfig):
     try:
         return load_csv(d["path"], label_column=d["label_column"],
                         header=d["header"])
+    except UnknownLabelColumn as exc:
+        raise ConfigError(f"dataset.label_column: {exc}") from None
     except ConfigError as exc:
         raise ConfigError(f"dataset.path: {exc}") from None
 
@@ -386,14 +387,14 @@ def cmd_eval(args) -> int:
         if not ds.has_split(split):
             raise ConfigError(f"dataset has no {split!r} split")
         X, Y = ds.X_split(split), ds.targets(split)
-        loss_kind = run.train.loss
     elif args.data:
+        run = parse_run_config(apply_overrides(
+            _merge(DEFAULT_CONFIG, {"dataset": {"path": args.data}}), args.set))
         ds = load_csv(args.data, label_column=_label_col(args),
                       header=not args.no_header)
         if args.standardize:
             ds = apply_feature_standardization(ds)
         X, Y = ds.X_split("train"), ds.targets("train")
-        loss_kind = LossKind.MSE
     else:
         raise ConfigError("eval needs --config or --data")
     if X.shape[1] != net.input_dim:
@@ -402,7 +403,7 @@ def cmd_eval(args) -> int:
     if Y.shape[1] != net.n_classes:
         raise DimensionMismatch(
             f"model has {net.n_classes} classes, data has {Y.shape[1]}")
-    loss, accuracy = evaluate_metrics(net, X, Y, loss_kind)
+    loss, accuracy = evaluate_metrics(net, X, Y, run.train.loss)
     print(json.dumps({
         "accuracy": accuracy,
         "loss": loss,
@@ -542,7 +543,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnknownLabelColumn, ClassTooSmall) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -46,17 +46,17 @@ class NonFiniteLoss(GopError):
         self.epoch = epoch
 
 
-class ParseError(GopError):
+class ParseError(ConfigError):
     """CSV cell could not be parsed; message names the row and column."""
 
 
-class RaggedRows(GopError):
+class RaggedRows(ConfigError):
     """CSV rows have inconsistent lengths."""
 
 
-class UnknownLabelColumn(GopError):
+class UnknownLabelColumn(ConfigError):
     """The requested label column does not exist in the file."""
 
 
-class ClassTooSmall(GopError):
+class ClassTooSmall(ConfigError):
     """Stratified splitting impossible for at least one class."""

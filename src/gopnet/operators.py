@@ -347,8 +347,8 @@ def _tanh_grad(x):
 
 def _softplus(x):
     # log(1 + exp(-x)) computed without overflow on either tail
-    return np.where(x >= 0, np.log1p(np.exp(-np.abs(x))),
-                    -x + np.log1p(np.exp(-np.abs(x))))
+    tail = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0, tail, -x + tail)
 
 
 def _inverse_absolute_grad(x):

@@ -41,6 +41,7 @@ from .training import (
     evaluate_metrics,
     finetune,
     init_batchnorm_from_standardization,
+    loss_and_grad,
 )
 
 
@@ -325,10 +326,16 @@ def _rate_value(net: GopNetwork, ctx: _GrowthContext) -> float:
 
 
 def _null_baseline(ctx: _GrowthContext) -> float:
-    """Metric of the best constant predictor, used before any block exists."""
+    """Metric of the best constant predictor, used before any block exists:
+    in the run's loss, the training target mean (MSE) or the log of the
+    training class frequencies as logits (cross-entropy); in accuracy, the
+    training majority class."""
     Xr, Yr = ctx.rate_split
     mean = ctx.Y_train.mean(axis=0)
     if ctx.config.rate_metric is Metric.MSE:
+        if ctx.config.train_spec.loss is LossKind.CROSS_ENTROPY:
+            logits = np.broadcast_to(np.log(mean), Yr.shape)
+            return loss_and_grad(logits, Yr, LossKind.CROSS_ENTROPY)[0]
         return float(np.mean((Yr - mean) ** 2))
     majority = int(ctx.Y_train.sum(axis=0).argmax())
     return float(np.mean(Yr.argmax(axis=1) == majority))
@@ -395,15 +402,13 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
         diverged = False
         if config.variant in _STEP_FINETUNED:
             init_batchnorm_from_standardization(layer)
-            selection = TrainableSelection.single_block(
-                layer_index, len(layer.blocks) - 1)
             spec = replace(config.train_spec,
                            seed=derive_seed(config.seed, 1, layer_index, step))
             try:
                 log = finetune(net, (ctx.X_train, ctx.Y_train),
                                None if ctx.X_val is None
                                else (ctx.X_val, ctx.Y_val),
-                               spec, selection)
+                               spec, TrainableSelection.newest_block(net))
             except NonFiniteLoss:
                 diverged = True
             else:

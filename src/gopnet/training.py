@@ -79,41 +79,32 @@ class TrainSpec:
 
 @dataclass(frozen=True)
 class TrainableSelection:
-    """Which parameters finetune may update; a selected block of a
+    """Which parameters finetune may update: the ``start`` block, every later
+    block of its layer and every block of each layer above it (no block if
+    None), plus the output map if ``include_output``.  A trained block of a
     batch-norm layer also trains its columns' scale and shift."""
 
-    block_refs: frozenset  # of (layer_index, block_index)
+    start: tuple | None  # (layer_index, block_index)
     include_output: bool = True
 
     @classmethod
     def all_blocks(cls, net: GopNetwork,
                    include_output: bool = True) -> "TrainableSelection":
-        refs = frozenset(
-            (li, bi)
-            for li, layer in enumerate(net.hidden)
-            for bi in range(len(layer.blocks))
-        )
-        return cls(refs, include_output)
+        return cls((0, 0), include_output)
 
     @classmethod
-    def single_block(cls, layer_index: int, block_index: int,
-                     include_output: bool = True) -> "TrainableSelection":
-        return cls(frozenset({(layer_index, block_index)}), include_output)
+    def newest_block(cls, net: GopNetwork) -> "TrainableSelection":
+        """The last block of the top layer, and the output map."""
+        return cls((len(net.hidden) - 1, len(net.hidden[-1].blocks) - 1))
 
     def validate(self, net: GopNetwork) -> None:
-        """Every reference names a block, and a layer's selected blocks are
-        consecutive, so its trained columns are one span."""
-        for li, bi in self.block_refs:
-            if not 0 <= li < len(net.hidden):
-                raise ConfigError(f"selection references missing layer {li}")
-            if not 0 <= bi < len(net.hidden[li].blocks):
-                raise ConfigError(f"selection references missing block ({li}, {bi})")
-        for li in {li for li, _ in self.block_refs}:
-            chosen = [bi for lj, bi in self.block_refs if lj == li]
-            if max(chosen) - min(chosen) + 1 != len(chosen):
-                raise ConfigError(
-                    f"selected blocks of layer {li} are not consecutive: "
-                    f"{sorted(chosen)}")
+        if self.start is None:
+            return
+        li, bi = self.start
+        if not 0 <= li < len(net.hidden):
+            raise ConfigError(f"selection references missing layer {li}")
+        if not 0 <= bi < len(net.hidden[li].blocks):
+            raise ConfigError(f"selection references missing block ({li}, {bi})")
 
 
 @dataclass
@@ -191,16 +182,18 @@ def evaluate_metrics(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
 @dataclass
 class _LayerPlan:
     """One layer's constants over the training-mode passes of one call: only
-    live columns and selected blocks change, so frozen columns are fixed.
+    live columns and trained blocks change, so frozen columns are fixed.
+    A layer's trained blocks run from its first trained block to its end, so
+    its trained columns are one suffix span and its frozen ones one prefix.
     Norm arrays are views of the layer's, which updates change in place."""
 
     spans: list                 # column slice of each block
-    visit: list                 # (block_index, selected) pairs backward visits
+    visit: list                 # trained block indices, which backward visits
     live: slice | None          # batch-stat normalized columns, if any
     live_norm: tuple            # (scale, shift, mean, std) of the live columns
-    live_spans: dict            # selected block -> its slice of the live columns
-    frozen: list                # (span, scale, mean, std, shift) of frozen spans
-    frozen_gain: list           # (span, scale / std) of frozen spans backward reads
+    live_spans: dict            # trained block -> its slice of the live columns
+    frozen: tuple | None        # (span, scale, mean, std, shift) of frozen columns
+    frozen_gain: tuple | None   # (span, scale / std) of trained standardized columns
     Z: list                     # per block, a [rows, fan_in, width] buffer
     scratch: list               # per block, three more, shared by every block
 
@@ -208,26 +201,14 @@ class _LayerPlan:
 @dataclass
 class _Plan:
     layers: list
-    lowest: int                 # lowest layer with a selected block, else past the top
+    lowest: int                 # lowest layer with a trained block, else past the top
     include_output: bool
 
 
-def _outside(span: slice | None, within: slice) -> list:
-    """The non-empty parts of ``within`` outside ``span``, a sub-span of it."""
-    if span is None:
-        parts = [within]
-    else:
-        parts = [slice(within.start, span.start), slice(span.stop, within.stop)]
-    return [p for p in parts if p.start < p.stop]
-
-
 def _plan(net: GopNetwork, selection: TrainableSelection, rows: int) -> _Plan:
-    """The plan of passes over at most ``rows`` rows at a time.
-
-    A layer's selected blocks are consecutive (``TrainableSelection.validate``),
-    so its live columns, and the columns backward reads, are one span each.
-    """
-    lowest = min((li for li, _ in selection.block_refs), default=len(net.hidden))
+    """The plan of passes over at most ``rows`` rows at a time."""
+    lowest, first = ((len(net.hidden), 0) if selection.start is None
+                     else selection.start)
     flat = [np.empty(max(rows * layer.fan_in * b.width for layer in net.hidden
                          for b in layer.blocks)) for _ in range(3)]
     layers = []
@@ -236,29 +217,24 @@ def _plan(net: GopNetwork, selection: TrainableSelection, rows: int) -> _Plan:
         if not norm.fitted:
             raise UnfitNormalization(f"layer {li} normalization is unfitted")
         spans = [layer.block_slice(bi) for bi in range(len(layer.blocks))]
-        chosen = sorted(bi for lj, bi in selection.block_refs if lj == li)
-        live = read = None
-        if chosen:
-            read = slice(spans[chosen[0]].start, spans[chosen[-1]].stop)
-            if norm.mode is NormMode.BATCHNORM:
-                live = read
-        if li > lowest:
-            read = slice(0, layer.width)
+        visit = ([] if li < lowest
+                 else list(range(first if li == lowest else 0, len(spans))))
+        trained = slice(spans[visit[0]].start, layer.width) if visit else None
+        live = trained if norm.mode is NormMode.BATCHNORM else None
+        frozen = slice(0, layer.width if live is None else live.start)
         live_norm, live_spans = None, {}
         if live is not None:
             live_norm = (norm.scale[live], norm.shift[live], norm.mean[live],
                          norm.std[live])
             live_spans = {bi: slice(spans[bi].start - live.start,
-                                    spans[bi].stop - live.start) for bi in chosen}
+                                    spans[bi].stop - live.start) for bi in visit}
         shapes = [(rows, layer.fan_in, b.width) for b in layer.blocks]
         layers.append(_LayerPlan(
-            spans, [(bi, bi in chosen) for bi in range(len(spans))
-                    if bi in chosen or li > lowest],
-            live, live_norm, live_spans,
-            [(sp, norm.scale[sp], norm.mean[sp], norm.std[sp], norm.shift[sp])
-             for sp in _outside(live, slice(0, layer.width))],
-            [(sp, norm.scale[sp] / norm.std[sp])
-             for sp in (_outside(live, read) if read is not None else [])],
+            spans, visit, live, live_norm, live_spans,
+            (frozen, norm.scale[frozen], norm.mean[frozen], norm.std[frozen],
+             norm.shift[frozen]) if frozen.stop > 0 else None,
+            (trained, norm.scale[trained] / norm.std[trained])
+            if trained is not None and live is None else None,
             [np.empty(shape) for shape in shapes],
             [tuple(f[:np.prod(shape)].reshape(shape) for f in flat)
              for shape in shapes]))
@@ -296,7 +272,8 @@ def _forward_train(net: GopNetwork, X: np.ndarray, plan: _Plan,
                            for block, Z in zip(layer.blocks, lp.Z)))
         H_raw = hs[0] if len(hs) == 1 else np.concatenate(hs, axis=1)
         out = np.empty_like(H_raw)
-        for sp, scale, mean, std, shift in lp.frozen:
+        if lp.frozen is not None:
+            sp, scale, mean, std, shift = lp.frozen
             out[:, sp] = scale * (H_raw[:, sp] - mean) / std + shift
         xhat = sigma = batch_mean = None
         if lp.live is not None:
@@ -329,7 +306,7 @@ def training_loss(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
                   loss: LossKind = LossKind.MSE) -> float:
     """The dropout-free loss that backward() differentiates.
 
-    Batch-stat normalization applies to the selected blocks' columns exactly
+    Batch-stat normalization applies to the trained blocks' columns exactly
     as in backward, so finite differences of this function match it.
     """
     selection.validate(net)
@@ -362,7 +339,8 @@ def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
         dout = dA if cache.drop_mask is None else dA * cache.drop_mask
         # only the columns of the blocks visited below are read
         dH_raw = np.empty(dout.shape)
-        for sp, gain in lp.frozen_gain:
+        if lp.frozen_gain is not None:
+            sp, gain = lp.frozen_gain
             np.multiply(dout[:, sp], gain, out=dH_raw[:, sp])
         if lp.live is not None:
             d_live = np.asfortranarray(dout[:, lp.live])  # as in the forward
@@ -379,12 +357,11 @@ def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
         need_dinputs = li > plan.lowest
         dinputs = np.zeros_like(cache.inputs) if need_dinputs else None
         rows = len(cache.inputs)
-        for bi, selected in lp.visit:
+        for bi in lp.visit:
             dW, dbias, dblock = layer.blocks[bi].backward(
                 cache.inputs, cache.Z[bi], cache.x[bi], dH_raw[:, lp.spans[bi]],
-                selected, need_dinputs, [s[:rows] for s in lp.scratch[bi]])
-            if selected:
-                grads.blocks[(li, bi)] = (dW, dbias)
+                True, need_dinputs, [s[:rows] for s in lp.scratch[bi]])
+            grads.blocks[(li, bi)] = (dW, dbias)
             if need_dinputs:
                 dinputs += dblock
         dA = dinputs

@@ -138,6 +138,27 @@ class TestTrain:
         assert "no feature columns" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("x1,x2,label\n1.0,oops,a\n2.0,3.0,b\n", "non-numeric value 'oops'"),
+        ("x1,x2,label\n1.0,2.0,a\n3.0,b\n", "row 3 has 2 cells"),
+        ("x1,x2,label\n", "no data rows"),
+    ], ids=["non-numeric", "ragged", "no-rows"])
+    def test_malformed_csv_exits_2_naming_the_path(self, tmp_path, capsys,
+                                                   text, message):
+        code, err, out = self._train_on(tmp_path, text, capsys)
+        assert code == 2
+        assert err.startswith("error: dataset.path: ")
+        assert message in err
+        assert not out.exists()
+
+    def test_missing_label_column_exits_2_naming_the_key(self, tmp_path,
+                                                          capsys):
+        code, err, out = self._train_on(
+            tmp_path, "x1,x2,y\n1.0,2.0,a\n3.0,4.0,b\n", capsys)
+        assert code == 2
+        assert err.startswith("error: dataset.label_column: ")
+        assert not out.exists()
+
     def test_overflowing_feature_exits_2_naming_it(self, tmp_path, capsys):
         X, y = two_moons(40, 0.1, seed=0)
         code, err, out = self._train_on(tmp_path, "x1,huge,label\n" + "".join(
@@ -368,6 +389,23 @@ class TestEval:
         assert (printed["accuracy"], printed["loss"]) == (accuracy, loss)
         # the flag matters: the raw features score differently
         assert evaluate_metrics(net, raw.X, raw.targets("train"),
+                                LossKind.MSE)[0] != loss
+
+    def test_eval_on_data_scores_in_the_loss_set(self, tmp_path, run_config,
+                                                 moons_csv, capsys):
+        out = str(tmp_path / "ce")
+        assert main(fast_train_args(run_config, out, extra=[
+            "--set", "train.loss=cross-entropy"])) == 0
+        model = os.path.join(out, "model.json")
+        capsys.readouterr()
+        assert main(["eval", "--model", model, "--data", moons_csv,
+                     "--set", "train.loss=cross-entropy"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        net, ds = load_model(model), load_csv(moons_csv)
+        loss, accuracy = evaluate_metrics(net, ds.X, ds.targets("train"),
+                                          LossKind.CROSS_ENTROPY)
+        assert (printed["accuracy"], printed["loss"]) == (accuracy, loss)
+        assert evaluate_metrics(net, ds.X, ds.targets("train"),
                                 LossKind.MSE)[0] != loss
 
     def test_eval_without_data_source_exits_2(self, trained_run):

@@ -5,7 +5,7 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
@@ -359,9 +359,10 @@ class TestInPlaceForwards:
         assert np.array_equal(pooled, expected, equal_nan=True)
 
 
-# The expressions the one-hot maximum grad, the single-exp sigmoid and the
-# summation backward without its all-ones product replaced; the rewrites
-# must give the same bytes, so -0.0 and NaN payloads count.
+# The expressions the one-hot maximum grad, the single-exp sigmoid, the
+# softplus that computes its tail once and the summation backward without
+# its all-ones product replaced; the rewrites must give the same bytes, so
+# -0.0 and NaN payloads count.
 
 def put_along_axis_maximum_grad(Z):
     g = np.zeros_like(Z)
@@ -372,6 +373,11 @@ def put_along_axis_maximum_grad(Z):
 def three_exp_sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def two_tail_softplus(x):
+    return np.where(x >= 0, np.log1p(np.exp(-np.abs(x))),
+                    -x + np.log1p(np.exp(-np.abs(x))))
 
 
 def same_bytes(a, b):
@@ -408,6 +414,16 @@ class TestRewrittenGradsKeepTheirBytes:
                               s * (1.0 - s))
             assert same_bytes(activation_grad(ActivationOp.SOFTPLUS, x),
                               -three_exp_sigmoid(-x))
+
+    @given(x=hnp.arrays(float, hnp.array_shapes(max_dims=2, max_side=6),
+                        elements=st.one_of(TIED, OPERAND, st.floats(-800, 800))))
+    @settings(max_examples=150, deadline=None)
+    @example(x=np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308,
+                         -1e308, 5e-324, -5e-324]))
+    def test_softplus_with_its_tail_computed_once(self, x):
+        with np.errstate(all="ignore"):
+            assert same_bytes(activation_forward(ActivationOp.SOFTPLUS, x),
+                              two_tail_softplus(x))
 
     @pytest.mark.parametrize("nodal", list(NodalOp))
     @pytest.mark.parametrize("activation", list(ActivationOp))

@@ -43,7 +43,7 @@ from gopnet.progression import (
 )
 from gopnet.ridge import evaluate_candidate
 from gopnet.synth import as_dataset, gaussian_blobs, noise_labels, two_moons
-from gopnet.training import TrainLog, TrainSpec, finetune
+from gopnet.training import LossKind, TrainLog, TrainSpec, finetune
 
 FAST_SPEC = TrainSpec(lr_schedule=((0.01, 3), (0.001, 2)), batch_size=16,
                       dropout_hidden=0.1, dropout_input=0.0)
@@ -225,6 +225,30 @@ class TestSearchOperatorSet:
                 np.array(found.candidate_indices)[order] == planted.index)[0])
             ranks.append(rank)
         assert np.median(ranks) < 5
+
+
+class TestNullBaseline:
+    @pytest.mark.parametrize("n_minority", [80, 30])
+    def test_cross_entropy_rates_start_from_the_class_prior(self, n_minority):
+        """Step 0 and layer 0 rate against the constant predictor scored in
+        the run's own loss: under cross-entropy, the training class prior."""
+        X, y = two_moons(160, seed=0)
+        keep = (y == 0) | (np.cumsum(y == 1) <= n_minority)
+        ds = as_dataset(X[keep], y[keep],
+                        {"train": 0.6, "val": 0.2, "test": 0.2}, seed=0)
+        spec = TrainSpec(lr_schedule=((0.01, 2),), loss=LossKind.CROSS_ENTROPY)
+        _, report = run_progression(ds, ProgressionConfig(
+            n_min=8, n_i=4, max_layer_width=12, max_layers=1, seed=0,
+            rate_metric=Metric.MSE, train_spec=spec))
+        prior = ds.targets("train").mean(axis=0)
+        baseline = -np.mean(ds.targets("val") @ np.log(prior))
+        first = report.steps[0].metric_after
+        last = [s for s in report.steps if s.accepted][-1].metric_after
+        assert report.steps[0].r_value == pytest.approx(
+            (baseline - first) / baseline, rel=1e-9)
+        assert report.layers[0].r_value == pytest.approx(
+            (baseline - last) / baseline, rel=1e-9)
+        assert report.steps[0].r_value > 0
 
 
 class TestGrowthStopping:

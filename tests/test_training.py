@@ -93,7 +93,7 @@ class TestBackward:
         net.output_bias[:] = 0.0
         X = rng.normal(size=(6, 3))
         Y = np.zeros((6, 2))
-        grads = backward(net, X, Y, TrainableSelection(frozenset()))
+        grads = backward(net, X, Y, TrainableSelection(None))
         assert_array_equal(grads.output[0], np.zeros_like(net.output_weights))
         assert_array_equal(grads.output[1], np.zeros_like(net.output_bias))
 
@@ -228,16 +228,16 @@ class TestBackward:
         net = build_net(rng, PERCEPTRON)
         X = rng.normal(size=(5, 3))
         Y = one_hot(rng.integers(0, 2, size=5), 2)
-        grads = backward(net, X, Y, TrainableSelection(frozenset()))
+        grads = backward(net, X, Y, TrainableSelection(None))
         assert grads.blocks == {} and grads.norm == {}
         assert grads.output is not None
 
     def test_selection_validates_references(self):
         rng = np.random.default_rng(1)
         net = build_net(rng, PERCEPTRON)
-        bad = TrainableSelection(frozenset({(3, 0)}))
-        with pytest.raises(ConfigError):
-            backward(net, np.ones((2, 3)), np.ones((2, 2)), bad)
+        for bad in (TrainableSelection((3, 0)), TrainableSelection((0, 1))):
+            with pytest.raises(ConfigError):
+                backward(net, np.ones((2, 3)), np.ones((2, 2)), bad)
 
 
 class TestFinetune:
@@ -267,8 +267,8 @@ class TestFinetune:
         net.output_weights = rng.normal(size=(7, 2))
         before = copy.deepcopy(net)
         spec = TrainSpec(lr_schedule=((0.01, 4),), seed=3)
-        selection = TrainableSelection.single_block(0, 1)
-        finetune(net, (self.X, self.Y), None, spec, selection)
+        finetune(net, (self.X, self.Y), None, spec,
+                 TrainableSelection.newest_block(net))
         assert_array_equal(net.hidden[0].blocks[0].weights,
                            before.hidden[0].blocks[0].weights)
         assert_array_equal(net.hidden[0].blocks[0].bias,
@@ -287,7 +287,7 @@ class TestFinetune:
         spec = TrainSpec(lr_schedule=((0.5, 150), (0.1, 150)), batch_size=60,
                          dropout_hidden=0.0, dropout_input=0.0,
                          weight_reg=None, seed=0)
-        finetune(net, (X, Y), None, spec, TrainableSelection(frozenset()))
+        finetune(net, (X, Y), None, spec, TrainableSelection(None))
         final, _ = evaluate_metrics(net, X, Y)
         assert final <= optimum + 1e-3
 
@@ -326,7 +326,7 @@ class TestFinetune:
         spec = TrainSpec(lr_schedule=((0.1, 3),), dropout_hidden=0.0,
                          dropout_input=0.0, weight_reg=Decay(0.1), seed=0)
         finetune(net, (X, Y), None, spec,
-                 TrainableSelection.single_block(0, 0, include_output=False))
+                 TrainableSelection((0, 0), include_output=False))
         after = np.abs(net.hidden[0].blocks[0].weights).sum()
         assert after < before
 
@@ -450,15 +450,14 @@ class TestBatchNormInit:
         X = rng.normal(size=(30, 2))
         Y = one_hot(rng.integers(0, 2, size=30), 2)
         spec = TrainSpec(lr_schedule=((0.01, 2),), seed=0)
-        finetune(net, (X, Y), None, spec, TrainableSelection.single_block(0, 1))
+        finetune(net, (X, Y), None, spec, TrainableSelection.newest_block(net))
         assert_array_equal(net.hidden[0].norm.mean[:3], frozen_mean)
         assert not np.array_equal(net.hidden[0].norm.mean[3:], np.full(3, 0.25))
 
 
 def middle_block_net(rng):
-    """A batch-norm layer of three blocks over 3 inputs, then a frozen
-    batch-norm layer, so the middle block's live columns have frozen ones on
-    both sides and its gradient crosses frozen columns above."""
+    """A batch-norm layer of three blocks over 3 inputs, then a one-block
+    batch-norm layer."""
     ops = [OperatorSet(NodalOp.HARMONIC, PoolOp.SUMMATION, ActivationOp.TANH),
            OperatorSet(NodalOp.DOG, PoolOp.CORRELATION1, ActivationOp.SIGMOID),
            OperatorSet(NodalOp.EXPONENTIAL, PoolOp.SUMMATION,
@@ -481,28 +480,32 @@ def middle_block_net(rng):
                       rng.normal(size=2) * 0.1)
 
 
+# recorded by the block-set selection code, which wrote this selection as
+# frozenset({(0, 1), (0, 2), (1, 0)})
 MIDDLE_BLOCK_FINETUNE_SHA256 = (
-    "a2dcf8aa95e8fec3f5aba2c4c4ad1281dbc9294ff2bda2ffc8d4f9c03eebebe7")
+    "74b1490bd68a1442c57cfd73f44c6fed17e45c58dbe8e2b2a8b7d2b0abc1ecae")
 
 
 class TestMiddleBlockSpan:
-    """Growth selects no block, one block or all blocks, so a layer's live
-    columns always reach an end; these select the middle one of three."""
+    """Training starts at the middle block of three, so layer 0 keeps a
+    frozen prefix before its live columns and layer 1 trains whole."""
 
     def setup_method(self):
         self.rng = np.random.default_rng(17)
         self.net = middle_block_net(self.rng)
         self.X = self.rng.normal(size=(14, 3))
         self.Y = one_hot(self.rng.integers(0, 2, size=14), 2)
-        self.selection = TrainableSelection.single_block(0, 1)
+        self.selection = TrainableSelection((0, 1))
 
     def test_gradients_match_finite_difference(self):
         grads = check_block_grads(self.net, self.X, self.Y, self.selection,
                                   self.rng)
-        assert list(grads.blocks) == [(0, 1)] and list(grads.norm) == [(0, 1)]
+        trained = [(0, 1), (0, 2), (1, 0)]
+        assert sorted(grads.blocks) == trained and sorted(grads.norm) == trained
         norm = self.net.hidden[0].norm
-        dscale, dshift = grads.norm[(0, 1)]
-        for j in range(4):
+        dscale = np.concatenate([grads.norm[(0, 1)][0], grads.norm[(0, 2)][0]])
+        dshift = np.concatenate([grads.norm[(0, 1)][1], grads.norm[(0, 2)][1]])
+        for j in range(6):
             fd = fd_gradient(self.net, self.X, self.Y, self.selection,
                              norm.scale, 3 + j)
             assert np.isclose(fd, dscale[j], rtol=1e-4, atol=1e-6)
@@ -510,7 +513,7 @@ class TestMiddleBlockSpan:
                              norm.shift, 3 + j)
             assert np.isclose(fd, dshift[j], rtol=1e-4, atol=1e-6)
 
-    def test_finetune_reruns_bit_for_bit_and_leaves_the_rest(self):
+    def test_finetune_reruns_bit_for_bit_and_leaves_the_prefix(self):
         spec = TrainSpec(lr_schedule=((0.05, 3),), batch_size=5, seed=4)
         runs = []
         for _ in range(2):
@@ -519,34 +522,23 @@ class TestMiddleBlockSpan:
                            self.selection)
             runs.append((net.to_json(), log.as_records()))
         assert runs[0] == runs[1]
-        # recorded when batch norm gathered its columns through boolean masks
         assert hashlib.sha256(json.dumps(runs[0]).encode()).hexdigest() == (
             MIDDLE_BLOCK_FINETUNE_SHA256)
         net = GopNetwork.from_json(runs[0][0])
         before, after = self.net.hidden[0], net.hidden[0]
-        for bi in (0, 2):
-            assert_array_equal(after.blocks[bi].weights, before.blocks[bi].weights)
-        assert not np.array_equal(after.blocks[1].weights,
-                                  before.blocks[1].weights)
-        frozen = np.r_[0:3, 7:9]
+        assert_array_equal(after.blocks[0].weights, before.blocks[0].weights)
+        for bi in (1, 2):
+            assert not np.array_equal(after.blocks[bi].weights,
+                                      before.blocks[bi].weights)
+        assert not np.array_equal(net.hidden[1].blocks[0].weights,
+                                  self.net.hidden[1].blocks[0].weights)
         for name in ("mean", "std", "scale", "shift"):
-            assert_array_equal(getattr(after.norm, name)[frozen],
-                               getattr(before.norm, name)[frozen])
-            assert not np.array_equal(getattr(after.norm, name)[3:7],
-                                      getattr(before.norm, name)[3:7])
-        for name in ("mean", "std", "scale", "shift"):
-            assert_array_equal(getattr(net.hidden[1].norm, name),
-                               getattr(self.net.hidden[1].norm, name))
-
-    def test_blocks_of_a_layer_must_be_consecutive(self):
-        gapped = TrainableSelection(frozenset({(0, 0), (0, 2)}))
-        with pytest.raises(ConfigError, match="not consecutive"):
-            gapped.validate(self.net)
-        spec = TrainSpec(lr_schedule=((0.01, 1),))
-        with pytest.raises(ConfigError, match="not consecutive"):
-            finetune(copy.deepcopy(self.net), (self.X, self.Y), None, spec,
-                     gapped)
-        TrainableSelection(frozenset({(0, 1), (0, 2), (1, 0)})).validate(self.net)
+            assert_array_equal(getattr(after.norm, name)[:3],
+                               getattr(before.norm, name)[:3])
+            assert not np.array_equal(getattr(after.norm, name)[3:],
+                                      getattr(before.norm, name)[3:])
+            assert not np.array_equal(getattr(net.hidden[1].norm, name),
+                                      getattr(self.net.hidden[1].norm, name))
 
 
 class TestHandWrittenReductions:
