@@ -340,8 +340,13 @@ def cmd_train(args) -> int:
     if args.target_mse is not None:
         cfg = _merge(cfg, {"pop": {"target_mse": args.target_mse}})
     run = parse_run_config(apply_overrides(cfg, args.set))
-    seeds = ([_SEED(s, "--seeds") for s in _int_list("--seeds", args.seeds)]
-             if args.seeds else [run.seed])
+    seeds = [run.seed]
+    if args.seeds is not None:
+        seeds = [_SEED(s, "--seeds") for s in _int_list("--seeds", args.seeds)]
+        if not seeds:
+            raise ConfigError("--seeds: name at least one seed")
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError(f"--seeds: name each seed once, got {args.seeds!r}")
     loaded = load_dataset(run)
     # every seed's split and standardization, before any file is written
     prepared = [prepare_dataset(run, loaded, seed) for seed in seeds]
@@ -388,11 +393,13 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"dataset has no {split!r} split")
         X, Y = ds.X_split(split), ds.targets(split)
     elif args.data:
-        run = parse_run_config(apply_overrides(
-            _merge(DEFAULT_CONFIG, {"dataset": {"path": args.data}}), args.set))
-        ds = load_csv(args.data, label_column=_label_col(args),
-                      header=not args.no_header)
-        if args.standardize:
+        # every row is scored, standardized by the file's own statistics
+        run = parse_run_config(apply_overrides(_merge(DEFAULT_CONFIG, {
+            "dataset": {"path": args.data, "label_column": _label_col(args),
+                        "header": not args.no_header,
+                        "standardize_features": args.standardize}}), args.set))
+        ds = load_dataset(run)
+        if run.dataset["standardize_features"]:
             ds = apply_feature_standardization(ds)
         X, Y = ds.X_split("train"), ds.targets("train")
     else:
@@ -442,38 +449,53 @@ def histogram_rows(doc: dict) -> list:
     return rows
 
 
+def _op_text(op: dict) -> str:
+    return f"{op['nodal']}/{op['pool']}/{op['activation']}"
+
+
 def step_rows(doc: dict) -> list:
-    rows = []
-    for step in doc.get("steps", []):
-        op = step["chosen_op_set"]
-        rows.append((
-            step["layer_index"], step["block_width"],
-            f"{op['nodal']}/{op['pool']}/{op['activation']}",
-            step["r_value"], step["accepted"],
-        ))
-    return rows
+    return [(step["layer_index"], step["block_width"],
+             _op_text(step["chosen_op_set"]), step["r_value"], step["accepted"])
+            for step in doc.get("steps", [])]
+
+
+def pop_layer_rows(doc: dict) -> list:
+    return [(layer["layer_index"], layer["width"], _op_text(layer["hidden_op"]),
+             _op_text(layer["output_op"]), layer["train_mse"],
+             layer["met_target"])
+            for layer in doc.get("layers", [])]
 
 
 def _markdown_text(header, rows) -> str:
-    out = ["| " + " | ".join(map(str, row)) + " |" for row in (header, *rows)]
+    out = ["| " + " | ".join(f"{v:.6g}" if isinstance(v, float) else str(v)
+                             for v in row) + " |" for row in (header, *rows)]
     out.insert(1, "|" + "---|" * len(header))
     return "\n".join(out)
 
 
 def cmd_report(args) -> int:
+    """Growth reports print their operator histogram and steps; POP and
+    PMLP reports, which have neither, their layer summaries."""
     doc = load_report(args.report)
-    hist = (("category", "operator", "count"), histogram_rows(doc))
-    steps = (("layer", "width", "op_set", "r_value", "accepted"), step_rows(doc))
+    try:
+        if doc.get("variant") in ("pop", "pmlp"):
+            tables = {"layers.csv": (("layer", "width", "hidden_op_set",
+                                      "output_op_set", "train_mse",
+                                      "met_target"), pop_layer_rows(doc))}
+        else:
+            tables = {"operator_histogram.csv": (
+                          ("category", "operator", "count"), histogram_rows(doc)),
+                      "steps.csv": (("layer", "width", "op_set", "r_value",
+                                     "accepted"), step_rows(doc))}
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise FormatError(f"report: malformed record ({exc!r})") from None
     if args.format == "csv":
-        sys.stdout.write(_csv_text(*hist) + "\r\n" + _csv_text(*steps))
+        sys.stdout.write("\r\n".join(_csv_text(*t) for t in tables.values()))
     else:
-        header, rows = steps
-        print(_markdown_text(*hist) + "\n\n" + _markdown_text(
-            header, [(*row[:3], f"{row[3]:.6g}", row[4]) for row in rows]))
+        print("\n\n".join(_markdown_text(*t) for t in tables.values()))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        for name, table in (("operator_histogram.csv", hist),
-                            ("steps.csv", steps)):
+        for name, table in tables.items():
             _atomic_write_text(os.path.join(args.out, name), _csv_text(*table))
     return 0
 

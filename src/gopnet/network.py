@@ -102,13 +102,11 @@ class NeuronBlock:
         return out
 
     def backward(self, inputs: np.ndarray, Z: np.ndarray, x: np.ndarray,
-                 dh: np.ndarray, want_params: bool, want_inputs: bool,
-                 scratch=None):
+                 dh: np.ndarray, want_inputs: bool, scratch=None):
         """(dW, dbias, dinputs) from the output gradient ``dh`` and the
-        ``forward_parts`` intermediates of ``inputs``; the parameter pair is
-        None unless ``want_params``, dinputs None unless ``want_inputs``, and
-        only the nodal partials these read are computed.  Z is consumed: the
-        grads and their [N, fan_in, width] products overwrite it.
+        ``forward_parts`` intermediates of ``inputs``; dinputs, and the nodal
+        dz/dy it reads, only if ``want_inputs``, else None.  Z is consumed:
+        the grads and their [N, fan_in, width] products overwrite it.
         ``scratch`` is three more arrays shaped like Z (fresh ones if None)."""
         G, S, T = scratch if scratch is not None else (
             np.empty_like(Z) for _ in range(3))
@@ -117,12 +115,9 @@ class NeuronBlock:
         if self.op_set.pool is not PoolOp.SUMMATION:  # its grad is all ones
             dZ = np.multiply(dZ, pool_grad_batch(self.op_set.pool, Z, G, T), out=G)
         gw, gy = nodal_grad(self.op_set.nodal, self.weights[None, :, :],
-                            inputs[:, :, None], want_params, want_inputs, (Z, S, T))
-        dW = dbias = dinputs = None
-        if want_params:
-            dW, dbias = np.multiply(dZ, gw, out=Z).sum(axis=0), dx.sum(axis=0)
-        if want_inputs:
-            dinputs = np.multiply(dZ, gy, out=Z).sum(axis=2)
+                            inputs[:, :, None], want_inputs, (Z, S, T))
+        dW, dbias = np.multiply(dZ, gw, out=Z).sum(axis=0), dx.sum(axis=0)
+        dinputs = np.multiply(dZ, gy, out=Z).sum(axis=2) if want_inputs else None
         return dW, dbias, dinputs
 
     def n_params(self) -> int:

@@ -144,12 +144,12 @@ class _Op:
 # expressions do with no other z-sized array (one more for DoG).
 #
 # Grads take ``gw`` and ``gy``, arrays shaped like z for the partials dz/dw
-# and dz/dy or None for a partial not wanted, and ``t``, a z-shaped scratch
-# array.  They return (dz/dw, dz/dy), None where not wanted; a partial may be
-# an operand or a smaller array that broadcasts against z instead of its
-# output array.  Each is an in-place chain in the operation order of its
-# closed form, so it keeps that expression's bits, and a partial computed
-# alone equals the same partial computed with its sibling.
+# and dz/dy (``gy`` None when dz/dy is not wanted), and ``t``, a z-shaped
+# scratch array.  They return (dz/dw, dz/dy), dz/dy None where not wanted; a
+# partial may be an operand or a smaller array that broadcasts against z
+# instead of its output array.  Each is an in-place chain in the operation
+# order of its closed form, so it keeps that expression's bits, and dz/dw
+# computed alone equals dz/dw computed with its sibling.
 
 def _product(a, y, out=None):
     """a * y in ``out`` or a fresh array, also for 0-d operands."""
@@ -158,7 +158,7 @@ def _product(a, y, out=None):
 
 
 def _multiplication_grad(w, y, gw, gy, t):
-    return (None if gw is None else y), (None if gy is None else w)
+    return y, (None if gy is None else w)
 
 
 def _exponential(w, y, out=None):
@@ -176,8 +176,7 @@ def _exponential_grad(w, y, gw, gy, t):
     np.clip(u, -EXP_CLAMP, EXP_CLAMP, out=e)
     np.exp(e, out=e)
     live = np.less(np.abs(u, out=u), EXP_CLAMP, out=u)
-    if gw is not None:
-        np.multiply(np.multiply(y, e, out=gw), live, out=gw)
+    np.multiply(np.multiply(y, e, out=gw), live, out=gw)
     if gy is not None:
         np.multiply(np.multiply(w, e, out=gy), live, out=gy)
     return gw, gy
@@ -191,8 +190,7 @@ def _harmonic(w, y, out=None):
 def _harmonic_grad(w, y, gw, gy, t):
     # y * cos(w * y) and w * cos(w * y)
     c = np.cos(np.multiply(w, y, out=t), out=t)
-    if gw is not None:
-        np.multiply(y, c, out=gw)
+    np.multiply(y, c, out=gw)
     if gy is not None:
         np.multiply(w, c, out=gy)
     return gw, gy
@@ -205,8 +203,7 @@ def _quadratic(w, y, out=None):
 
 def _quadratic_grad(w, y, gw, gy, t):
     # y * y and 2 * w * y
-    return (None if gw is None else y * y,
-            None if gy is None else np.multiply(2.0 * w, y, out=gy))
+    return y * y, None if gy is None else np.multiply(2.0 * w, y, out=gy)
 
 
 def _gaussian_exp(w, y, out=None):
@@ -231,8 +228,7 @@ def _gaussian(w, y, out=None):
 def _gaussian_grad(w, y, gw, gy, t):
     # g * (1 - w * y * y) and -2 * w * w * y * g, with g = exp(-w * y * y)
     g = _gaussian_exp(w, y, t)
-    if gw is not None:
-        np.multiply(g, _one_minus_wyy(w, y, gw), out=gw)
+    np.multiply(g, _one_minus_wyy(w, y, gw), out=gw)
     if gy is not None:
         np.multiply(np.multiply(-2.0 * w * w, y, out=gy), g, out=gy)
     return gw, gy
@@ -245,12 +241,11 @@ def _dog(w, y, out=None):
 
 def _dog_grad(w, y, gw, gy, t):
     # y * g * (1 - w * y * y) and w * g * (1 - 2 * w * y * y), with
-    # g = exp(-w * y * y); y * g goes into gy, not yet written, when both
-    # partials are wanted, and into g itself when g is not read again
+    # g = exp(-w * y * y); y * g goes into gy, not yet written, when dz/dy
+    # is wanted, and into g itself when g is not read again
     g = _gaussian_exp(w, y, t)
-    if gw is not None:
-        yg = np.multiply(y, g, out=g if gy is None else gy)
-        np.multiply(yg, _one_minus_wyy(w, y, gw), out=gw)
+    yg = np.multiply(y, g, out=g if gy is None else gy)
+    np.multiply(yg, _one_minus_wyy(w, y, gw), out=gw)
     if gy is not None:
         one_minus = _one_minus_wyy(2.0 * w, y, gy)
         np.multiply(np.multiply(w, g, out=g), one_minus, out=gy)
@@ -270,10 +265,9 @@ _NODAL = {
 
 # Pooling operators over the fan-in axis of [N, fan_in, width] nodal outputs.
 # Grads write the elementwise gradient, same shape as Z, into ``out`` and may
-# use ``t``, a Z-shaped scratch array (fresh arrays where None); maximum
-# routes its subgradient to the first maximal index along fan-in.  The
-# k-correlation pool sums the products of k + 1 adjacent entries, an empty
-# sum when fan-in is <= k.
+# use ``t``, a Z-shaped scratch array; maximum routes its subgradient to the
+# first maximal index along fan-in.  The k-correlation pool sums the products
+# of k + 1 adjacent entries, an empty sum when fan-in is <= k.
 
 def _correlation(k: int) -> _Op:
     def views(Z):
@@ -289,7 +283,7 @@ def _correlation(k: int) -> _Op:
             np.multiply(p, v, out=p)
         return p.sum(axis=1)
 
-    def grad(Z, out, t=None):
+    def grad(Z, out, t):
         # out[:, j:n + j] += the product of every view but the j-th, from zero
         out.fill(0.0)
         n = Z.shape[1] - k
@@ -298,20 +292,19 @@ def _correlation(k: int) -> _Op:
             for j in range(k + 1):
                 term, *rest = v[:j] + v[j + 1:]
                 for other in rest:
-                    term = np.multiply(term, other,
-                                       out=None if t is None else t[:, :n])
+                    term = np.multiply(term, other, out=t[:, :n])
                 np.add(out[:, j:n + j], term, out=out[:, j:n + j])
         return out
 
     return _Op(forward, grad, lambda n: max((k + 1) * (n - k) - 1, 0))
 
 
-def _summation_grad(Z, out, t=None):
+def _summation_grad(Z, out, t):
     out.fill(1.0)
     return out
 
 
-def _maximum_grad(Z, out, t=None):
+def _maximum_grad(Z, out, t):
     first_max = Z.argmax(axis=1)[:, None, :]
     return np.equal(np.arange(Z.shape[1])[:, None], first_max, out=out)
 
@@ -378,10 +371,9 @@ def nodal_forward(op: NodalOp, w, y, out=None):
     return _NODAL[op].forward(np.asarray(w, float), np.asarray(y, float), out)
 
 
-def nodal_grad(op: NodalOp, w, y, want_w: bool = True, want_y: bool = True,
-               out=None):
+def nodal_grad(op: NodalOp, w, y, want_y: bool = True, out=None):
     """Partials (dz/dw, dz/dy) of the nodal operator, broadcastable against z;
-    a partial not wanted is None.  ``out`` is three z-shaped arrays: the
+    dz/dy is None unless ``want_y``.  ``out`` is three z-shaped arrays: the
     partials may be written into the first two, the third is scratch; fresh
     ones are made when it is None."""
     w, y = np.asarray(w, dtype=float), np.asarray(y, dtype=float)
@@ -389,7 +381,7 @@ def nodal_grad(op: NodalOp, w, y, want_w: bool = True, want_y: bool = True,
         shape = np.broadcast_shapes(w.shape, y.shape)
         out = [np.empty(shape) for _ in range(3)]
     gw, gy, t = out
-    return _NODAL[op].grad(w, y, gw if want_w else None, gy if want_y else None, t)
+    return _NODAL[op].grad(w, y, gw, gy if want_y else None, t)
 
 
 def _probe(z, name: str) -> np.ndarray:
@@ -418,9 +410,10 @@ def pool_forward_batch(op: PoolOp, Z: np.ndarray) -> np.ndarray:
 
 
 def pool_grad_batch(op: PoolOp, Z: np.ndarray, out=None, t=None) -> np.ndarray:
-    """Elementwise pool gradients, same shape as Z, written into ``out`` (a
-    fresh array when None); ``t`` is an optional Z-shaped scratch array."""
-    return _POOL[op].grad(Z, np.empty_like(Z) if out is None else out, t)
+    """Elementwise pool gradients, same shape as Z, written into ``out``;
+    ``t`` is a Z-shaped scratch array.  Fresh ones are made where None."""
+    return _POOL[op].grad(Z, np.empty_like(Z) if out is None else out,
+                          np.empty_like(Z) if t is None else t)
 
 
 def pool_flops(op: PoolOp, fan_in: int) -> int:

@@ -375,7 +375,8 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
     layer's first block propagates NonFiniteLoss to the caller.
     """
     config = ctx.config
-    X_layer = ctx.X_rows if layer_index == 0 else net.hidden_forward(ctx.X_rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X_layer = ctx.X_rows if layer_index == 0 else net.hidden_forward(ctx.X_rows)
     fan_in = X_layer.shape[1]
     n_classes = ctx.Y_train.shape[1]
     library = config.library()
@@ -567,13 +568,12 @@ def _train_shln(X, Y, width, hidden_op, output_op, epochs, base_spec: TrainSpec,
                      np.zeros(n_classes))
     spec = replace(base_spec, seed=seed,
                    lr_schedule=((base_spec.lr_schedule[0][0], epochs),))
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            finetune(net, (X, Y), None, spec,
-                     TrainableSelection.all_blocks(net, include_output=False))
-        except NonFiniteLoss:
-            return net, float("inf")
-        mse, _ = evaluate_metrics(net, X, Y, base_spec.loss)
+    try:
+        finetune(net, (X, Y), None, spec,
+                 TrainableSelection.all_blocks(net, include_output=False))
+    except NonFiniteLoss:
+        return net, float("inf")
+    mse, _ = evaluate_metrics(net, X, Y, base_spec.loss)
     if not np.isfinite(mse):
         mse = float("inf")
     return net, mse
@@ -651,7 +651,8 @@ def _pop_progression(dataset: Dataset, template, target_mse, epochs,
             break
         if li < len(template) - 1:
             committed.append(shln.hidden[0])
-            X_cur = shln.hidden[0].forward(X_cur)
+            with np.errstate(over="ignore", invalid="ignore"):
+                X_cur = shln.hidden[0].forward(X_cur)
 
     if not met_target:
         report.template_exhausted = True

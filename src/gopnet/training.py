@@ -112,7 +112,7 @@ class Gradients:
     """Gradient arrays mirroring the selected parameters only."""
 
     blocks: dict = field(default_factory=dict)  # (l, b) -> (dW, dbias)
-    norm: dict = field(default_factory=dict)    # (l, b) -> (dscale, dshift)
+    norm: dict = field(default_factory=dict)    # l -> (dscale, dshift), live columns
     output: tuple | None = None                 # (dB, dbias)
 
     def n_scalars(self) -> int:
@@ -191,7 +191,6 @@ class _LayerPlan:
     visit: list                 # trained block indices, which backward visits
     live: slice | None          # batch-stat normalized columns, if any
     live_norm: tuple            # (scale, shift, mean, std) of the live columns
-    live_spans: dict            # trained block -> its slice of the live columns
     frozen: tuple | None        # (span, scale, mean, std, shift) of frozen columns
     frozen_gain: tuple | None   # (span, scale / std) of trained standardized columns
     Z: list                     # per block, a [rows, fan_in, width] buffer
@@ -222,15 +221,11 @@ def _plan(net: GopNetwork, selection: TrainableSelection, rows: int) -> _Plan:
         trained = slice(spans[visit[0]].start, layer.width) if visit else None
         live = trained if norm.mode is NormMode.BATCHNORM else None
         frozen = slice(0, layer.width if live is None else live.start)
-        live_norm, live_spans = None, {}
-        if live is not None:
-            live_norm = (norm.scale[live], norm.shift[live], norm.mean[live],
-                         norm.std[live])
-            live_spans = {bi: slice(spans[bi].start - live.start,
-                                    spans[bi].stop - live.start) for bi in visit}
+        live_norm = None if live is None else (
+            norm.scale[live], norm.shift[live], norm.mean[live], norm.std[live])
         shapes = [(rows, layer.fan_in, b.width) for b in layer.blocks]
         layers.append(_LayerPlan(
-            spans, visit, live, live_norm, live_spans,
+            spans, visit, live, live_norm,
             (frozen, norm.scale[frozen], norm.mean[frozen], norm.std[frozen],
              norm.shift[frozen]) if frozen.stop > 0 else None,
             (trained, norm.scale[trained] / norm.std[trained])
@@ -350,17 +345,15 @@ def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
             mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=0) / n
             dH_raw[:, lp.live] = (dxhat - np.add.reduce(dxhat, axis=0) / n
                                   - xhat * mean_dxhat_xhat) / cache.sigma
-            dscale_cols = np.add.reduce(d_live * xhat, axis=0)
-            dshift_cols = np.add.reduce(d_live, axis=0)
-            for bi, sl in lp.live_spans.items():
-                grads.norm[(li, bi)] = (dscale_cols[sl], dshift_cols[sl])
+            grads.norm[li] = (np.add.reduce(d_live * xhat, axis=0),
+                              np.add.reduce(d_live, axis=0))
         need_dinputs = li > plan.lowest
         dinputs = np.zeros_like(cache.inputs) if need_dinputs else None
         rows = len(cache.inputs)
         for bi in lp.visit:
             dW, dbias, dblock = layer.blocks[bi].backward(
                 cache.inputs, cache.Z[bi], cache.x[bi], dH_raw[:, lp.spans[bi]],
-                True, need_dinputs, [s[:rows] for s in lp.scratch[bi]])
+                need_dinputs, [s[:rows] for s in lp.scratch[bi]])
             grads.blocks[(li, bi)] = (dW, dbias)
             if need_dinputs:
                 dinputs += dblock
@@ -384,10 +377,10 @@ def _apply_update(net: GopNetwork, grads: Gradients, lr: float, spec: TrainSpec,
         block.bias -= lr * db
         if max_norm is not None:
             _project_rows(block.weights, max_norm, epoch)
-    for (li, bi), (dscale, dshift) in grads.norm.items():
-        norm, sl = net.hidden[li].norm, plan.layers[li].spans[bi]
-        norm.scale[sl] -= lr * dscale
-        norm.shift[sl] -= lr * dshift
+    for li, (dscale, dshift) in grads.norm.items():
+        scale, shift = plan.layers[li].live_norm[:2]
+        scale -= lr * dscale
+        shift -= lr * dshift
     if grads.output is not None:
         dB, dbias = grads.output
         W = net.output_weights

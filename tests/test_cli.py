@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import gopnet.cli as cli
-from gopnet.cli import DEFAULT_CONFIG, main
+from gopnet.cli import DEFAULT_CONFIG, VARIANTS, main
 from gopnet.data import apply_feature_standardization, load_csv
 from gopnet.network import _atomic_write_text, load_model
 from gopnet.progression import ProgressionConfig, run_progression
@@ -257,6 +257,8 @@ class TestTrain:
         (["--set", "progression.c_grid=[-1]"], "c_grid"),
         (["--template", "4,x", "--variant", "pop"], "--template"),
         (["--seeds", "1,y"], "--seeds"),
+        (["--seeds", ","], "--seeds: name at least one seed"),
+        (["--seeds", "1,2,1"], "--seeds: name each seed once"),
     ])
     def test_malformed_value_exits_2_naming_it(self, tmp_path, run_config,
                                                capsys, extra, named):
@@ -265,7 +267,7 @@ class TestTrain:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.out + captured.err
         assert named in captured.err
-        assert not os.path.exists(os.path.join(out, "model.json"))
+        assert not os.path.exists(out)
 
     def test_unknown_variant_exits_2(self, tmp_path, run_config):
         cfg = json.load(open(run_config))
@@ -345,6 +347,81 @@ class TestConfigFuzz:
             assert not any("config.json" in files for files in written)
 
 
+# Feature values at the data's edges: zeros of both signs, magnitudes near
+# 1e300 and 1e-300, the largest and smallest doubles, and ordinary ones.
+EDGE_FEATURES = st.sampled_from([
+    0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, 1e-300, -1e-300, 5e-324,
+    1.7976931348623157e308, -1.7976931348623157e308]) | st.floats(-10, 10)
+TINY_RUN = {
+    "progression": {"n_min": 1, "n_i": 1, "max_layer_width": 2,
+                    "max_layers": 2},
+    "train": {"lr_schedule": [[0.01, 1]], "batch_size": 4},
+    "pop": {"template": [1, 1], "epochs": 1},
+}
+ALL_TRAIN = {"train": 1.0, "val": 0.0, "test": 0.0}
+
+
+@st.composite
+def degenerate_csvs(draw):
+    """CSV text with a label column and 0-3 feature columns over 1-8 rows:
+    one class or several, constant or duplicate rows, edge magnitudes."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(0, 3))
+    labels = draw(st.lists(st.integers(0, draw(st.integers(0, 2))),
+                           min_size=n, max_size=n))
+    row = st.lists(EDGE_FEATURES, min_size=d, max_size=d)
+    rows = ([draw(row)] * n if draw(st.booleans())
+            else draw(st.lists(row, min_size=n, max_size=n)))
+    lines = [",".join([f"x{j}" for j in range(d)] + ["label"])]
+    lines += [",".join([repr(v) for v in r] + [f"c{c}"])
+              for r, c in zip(rows, labels)]
+    return "\n".join(lines) + "\n"
+
+
+class TestDegenerateCsvs:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=degenerate_csvs(),
+           variant=st.sampled_from(VARIANTS),
+           standardize=st.booleans(),
+           split=st.sampled_from([DEFAULT_CONFIG["split"], ALL_TRAIN]))
+    @example(text="label\nc0\nc1\n", variant="hemlgop", standardize=True,
+             split=ALL_TRAIN)
+    # a second layer over a first one's overflowing outputs, growth and POP
+    @example(text="x0,x1,x2,label\n-2.0,-1.7976931348623157e+308,"
+                  "-1.7976931348623157e+308,c0\n",
+             variant="hemlrn", standardize=False, split=ALL_TRAIN)
+    @example(text="x0,label\n2.5,c0\n-1.0,c0\n-1.7976931348623157e+308,c0\n",
+             variant="pop", standardize=False, split=ALL_TRAIN)
+    def test_exits_0_2_or_3_with_one_error_line_and_reruns_exactly(
+            self, tmp_path_factory, capsys, text, variant, standardize, split):
+        """Under pytest every RuntimeWarning is an error, so a run that
+        warns fails here instead of printing to stderr."""
+        root = tmp_path_factory.mktemp("edge")
+        (root / "data.csv").write_text(text)
+        config = root / "run.json"
+        config.write_text(json.dumps({
+            **TINY_RUN, "variant": variant, "split": split,
+            "dataset": {"path": str(root / "data.csv"),
+                        "standardize_features": standardize}}))
+
+        def train(out):
+            code = main(["train", "--config", str(config),
+                         "--out", str(root / out)])
+            return code, capsys.readouterr().err
+
+        code, err = train("a")
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert code == 3 or not (root / "a").exists()
+            return
+        assert err == "" and train("b") == (0, "")
+        for name in ("model.json", "report.json", "trainlog.csv"):
+            assert ((root / "a" / name).read_bytes()
+                    == (root / "b" / name).read_bytes()), name
+
+
 class TestEval:
     def test_eval_reproduces_test_metrics_exactly(self, trained_run, run_config,
                                                   capsys):
@@ -390,6 +467,26 @@ class TestEval:
         # the flag matters: the raw features score differently
         assert evaluate_metrics(net, raw.X, raw.targets("train"),
                                 LossKind.MSE)[0] != loss
+
+    def test_eval_on_data_reads_the_dataset_keys_of_set(
+            self, trained_run, tmp_path, capsys):
+        X, y = two_moons(60, 0.15, seed=1)
+        data = tmp_path / "bare.csv"
+        data.write_text("".join(f"c{c},{float(a)!r},{float(b)!r}\n"
+                                for (a, b), c in zip(X, y)))
+        model = os.path.join(trained_run, "model.json")
+        printed = []
+        for flags in (["--label-column", "0", "--no-header", "--standardize"],
+                      ["--set", "dataset.label_column=0",
+                       "--set", "dataset.header=false",
+                       "--set", "dataset.standardize_features=true"]):
+            assert main(["eval", "--model", model, "--data", str(data)]
+                        + flags) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert main(["eval", "--model", model, "--data", str(data),
+                     "--set", "dataset.label_column=9"]) == 2
+        assert "dataset.label_column" in capsys.readouterr().err
 
     def test_eval_on_data_scores_in_the_loss_set(self, tmp_path, run_config,
                                                  moons_csv, capsys):
@@ -464,10 +561,82 @@ class TestReportCommand:
         assert os.path.exists(os.path.join(out_dir, "operator_histogram.csv"))
         assert os.path.exists(os.path.join(out_dir, "steps.csv"))
 
+    def test_growth_tables_keep_their_text(self, tmp_path, capsys):
+        path = self.make_report(
+            tmp_path,
+            steps=[{"layer_index": 0, "block_width": 4,
+                    "chosen_op_set": {"nodal": "dog", "pool": "maximum",
+                                      "activation": "elu"},
+                    "r_value": 0.123456789, "accepted": False}],
+            histogram={"pool": {"maximum": 1}})
+        assert main(["report", "--report", path]) == 0
+        assert capsys.readouterr().out == (
+            "| category | operator | count |\n|---|---|---|\n"
+            "| pool | maximum | 1 |\n\n"
+            "| layer | width | op_set | r_value | accepted |\n"
+            "|---|---|---|---|---|\n"
+            "| 0 | 4 | dog/maximum/elu | 0.123457 | False |\n")
+        assert main(["report", "--report", path, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            "category,operator,count\r\npool,maximum,1\r\n\r\n"
+            "layer,width,op_set,r_value,accepted\r\n"
+            "0,4,dog/maximum/elu,0.123456789,False\r\n")
+
+    @pytest.mark.parametrize("variant", ["pop", "pmlp"])
+    def test_pop_reports_print_their_layer_summaries(self, tmp_path, capsys,
+                                                     variant):
+        ops = [{"nodal": "gaussian", "pool": "summation", "activation": "tanh"},
+               {"nodal": "multiplication", "pool": "maximum",
+                "activation": "relu"}]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({
+            "variant": variant, "seed": 0, "final_metrics": {},
+            "candidate_trainings": [], "layer_trainings": [],
+            "template_exhausted": False,
+            "layers": [{"layer_index": 0, "width": 3, "hidden_op": ops[0],
+                        "output_op": ops[1], "train_mse": 0.5, "met_target": False},
+                       {"layer_index": 1, "width": 2, "hidden_op": ops[1],
+                        "output_op": ops[0], "train_mse": 1 / 3,
+                        "met_target": True}]}))
+        header = "layer,width,hidden_op_set,output_op_set,train_mse,met_target"
+        rows = ["0,3,gaussian/summation/tanh,multiplication/maximum/relu,0.5,False",
+                "1,2,multiplication/maximum/relu,gaussian/summation/tanh,"
+                "0.3333333333333333,True"]
+        out_dir = tmp_path / "tables"
+        assert main(["report", "--report", str(path), "--format", "csv",
+                     "--out", str(out_dir)]) == 0
+        csv_text = "\r\n".join([header] + rows) + "\r\n"
+        assert capsys.readouterr().out == csv_text
+        assert sorted(os.listdir(out_dir)) == ["layers.csv"]
+        assert (out_dir / "layers.csv").read_bytes() == csv_text.encode()
+        assert main(["report", "--report", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "| " + header.replace(",", " | ") + " |", "|---|---|---|---|---|---|",
+            "| 0 | 3 | gaussian/summation/tanh | multiplication/maximum/relu "
+            "| 0.5 | False |",
+            "| 1 | 2 | multiplication/maximum/relu | gaussian/summation/tanh "
+            "| 0.333333 | True |"]
+
     def test_malformed_report_exits_3(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         assert main(["report", "--report", str(path)]) == 3
+
+    @pytest.mark.parametrize("fields", [
+        {"steps": [{"layer_index": 0}]},
+        {"steps": 5},
+        {"operator_histogram": [1]},
+        {"operator_histogram": {"pool": 3}},
+        {"variant": "pop", "layers": [{"layer_index": 0, "width": 1,
+                                       "hidden_op": "dog"}]},
+    ])
+    def test_malformed_record_exits_3_with_one_error_line(self, tmp_path,
+                                                          capsys, fields):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"final_metrics": {}, **fields}))
+        assert main(["report", "--report", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: report: ")
 
 
 class TestModelCommands:

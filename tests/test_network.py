@@ -116,11 +116,11 @@ class TestBlockBackward:
         X = rng.normal(size=(6, 4))
         Z, x, _ = block.forward_parts(X)
         dh = rng.normal(size=(6, 3))
-        dW, dbias, dinputs = block.backward(X, Z, x, dh, True, False)
+        dW, dbias, dinputs = block.backward(X, Z, x, dh, False)
         assert (dW.shape, dbias.shape, dinputs) == ((4, 3), (3,), None)
         Z, x, _ = block.forward_parts(X)  # backward consumed the first Z
-        dW, dbias, dinputs = block.backward(X, Z, x, dh, False, True)
-        assert (dW, dbias, dinputs.shape) == (None, None, (6, 4))
+        dW, dbias, dinputs = block.backward(X, Z, x, dh, True)
+        assert (dW.shape, dbias.shape, dinputs.shape) == ((4, 3), (3,), (6, 4))
 
     def test_perceptron_backward_is_dense_backward(self, rng):
         W, b = rng.normal(size=(4, 3)), rng.normal(size=3)
@@ -128,7 +128,7 @@ class TestBlockBackward:
         X = rng.normal(size=(6, 4))
         Z, x, h = block.forward_parts(X)
         dh = rng.normal(size=(6, 3))
-        dW, dbias, dinputs = block.backward(X, Z, x, dh, True, True)
+        dW, dbias, dinputs = block.backward(X, Z, x, dh, True)
         dx = dh * h * (1.0 - h)
         assert np.abs(dW - X.T @ dx).max() < 1e-12
         assert np.abs(dbias - dx.sum(axis=0)).max() < 1e-12

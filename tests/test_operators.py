@@ -443,7 +443,7 @@ class TestRewrittenGradsKeepTheirBytes:
                                   elements=st.one_of(TIED, finite)))
         with np.errstate(all="ignore"):
             Z, x, _ = block.forward_parts(inputs)
-            dW, dbias, dinputs = block.backward(inputs, Z, x, dh, True, True)
+            dW, dbias, dinputs = block.backward(inputs, Z, x, dh, True)
             dx = dh * activation_grad(activation, x)
             dZ = dx[:, None, :] * np.ones_like(Z)
             gw, gy = nodal_grad(nodal, block.weights[None], inputs[:, :, None])
@@ -453,8 +453,8 @@ class TestRewrittenGradsKeepTheirBytes:
 
 
 # The closed forms the in-place nodal and pool grad chains replaced, as they
-# were written before: each chain must give their bytes, alone or with its
-# sibling partial, whatever its output and scratch arrays held before.
+# were written before: each chain must give their bytes, dz/dw alone or with
+# dz/dy, whatever its output and scratch arrays held before.
 CLOSED_FORM_NODAL_GRAD = {
     NodalOp.MULTIPLICATION: lambda w, y: (y, w),
     NodalOp.EXPONENTIAL: lambda w, y: (
@@ -513,20 +513,21 @@ def garbage(shape, seed=0):
 
 
 def check_nodal_chain(op, w, y):
-    """Both partials, alone into reused buffers and together into fresh
-    ones, have the bytes of the closed form."""
+    """dz/dw alone, and both partials together, into fresh or reused
+    buffers, have the bytes of the closed form."""
     shape = np.broadcast_shapes(w.shape, y.shape)
     with np.errstate(all="ignore"):
         expected = CLOSED_FORM_NODAL_GRAD[op](w, y)
         together = nodal_grad(op, w, y)
-        gw, none_y = nodal_grad(op, w, y, True, False,
-                                [garbage(shape, i) for i in range(3)])
-        none_w, gy = nodal_grad(op, w, y, False, True,
+        reused = nodal_grad(op, w, y, True,
+                            [garbage(shape, i) for i in range(3)])
+        gw, none_y = nodal_grad(op, w, y, False,
                                 [garbage(shape, i) for i in range(3, 6)])
-    assert none_w is None and none_y is None
-    for partial, alone, want in zip(together, (gw, gy), expected):
-        assert same_bytes(partial, want)
-        assert same_bytes(alone, want)
+    assert none_y is None
+    assert same_bytes(gw, expected[0])
+    for partials in (together, reused):
+        for partial, want in zip(partials, expected):
+            assert same_bytes(partial, want)
 
 
 class TestGradChainsKeepTheirBytes:
@@ -589,14 +590,13 @@ class TestGradChainsKeepTheirBytes:
             want_dW, want_dinputs = (dZ * gw).sum(axis=0), (dZ * gy).sum(axis=2)
             want_dbias = dx.sum(axis=0)
             got = {}
-            for flags in ((True, False), (False, True), (True, True)):
+            for want_inputs in (False, True):
                 Z, x, _ = block.forward_parts(inputs)  # backward consumes Z
                 scratch = [garbage(shape, i) for i in range(3)]
-                got[flags] = block.backward(inputs, Z, x, dh, *flags, scratch)
-        assert got[(True, False)][2] is None
-        assert got[(False, True)][:2] == (None, None)
-        for dW, dbias, _ in (got[(True, False)], got[(True, True)]):
+                got[want_inputs] = block.backward(inputs, Z, x, dh,
+                                                  want_inputs, scratch)
+        assert got[False][2] is None
+        for dW, dbias, _ in got.values():
             assert same_bytes(dW, want_dW)
             assert same_bytes(dbias, want_dbias)
-        for _, _, dinputs in (got[(False, True)], got[(True, True)]):
-            assert same_bytes(dinputs, want_dinputs)
+        assert same_bytes(got[True][2], want_dinputs)

@@ -136,7 +136,7 @@ class TestBackward:
         selection = TrainableSelection.all_blocks(net)
         grads = check_block_grads(net, X, Y, selection, rng)
         norm = net.hidden[0].norm
-        dscale, dshift = grads.norm[(0, 0)]
+        dscale, dshift = grads.norm[0]
         for j in range(3):
             fd = fd_gradient(net, X, Y, selection, norm.scale, j)
             assert np.isclose(fd, dscale[j], rtol=1e-4, atol=1e-6)
@@ -501,10 +501,10 @@ class TestMiddleBlockSpan:
         grads = check_block_grads(self.net, self.X, self.Y, self.selection,
                                   self.rng)
         trained = [(0, 1), (0, 2), (1, 0)]
-        assert sorted(grads.blocks) == trained and sorted(grads.norm) == trained
+        assert sorted(grads.blocks) == trained and sorted(grads.norm) == [0, 1]
         norm = self.net.hidden[0].norm
-        dscale = np.concatenate([grads.norm[(0, 1)][0], grads.norm[(0, 2)][0]])
-        dshift = np.concatenate([grads.norm[(0, 1)][1], grads.norm[(0, 2)][1]])
+        dscale, dshift = grads.norm[0]
+        assert dscale.shape == dshift.shape == (6,)
         for j in range(6):
             fd = fd_gradient(self.net, self.X, self.Y, self.selection,
                              norm.scale, 3 + j)
