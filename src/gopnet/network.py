@@ -87,19 +87,27 @@ class NeuronBlock:
         x = pool_forward_batch(self.op_set.pool, Z) + self.bias
         return Z, x, activation_forward(self.op_set.activation, x)
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Pre-normalization block outputs, [N, width].
+    def forward(self, inputs: np.ndarray, activate: bool = True) -> np.ndarray:
+        """Pre-normalization block outputs, [N, width], or with
+        ``activate=False`` the pre-activations.
 
-        Rows are independent, so they run in chunks whose nodal tensor fits
-        FORWARD_CHUNK_BYTES (at least one row); the output is bit-identical
-        to ``forward_parts(inputs)[2]``.
+        Rows are independent, so nodal and pool run in chunks whose nodal
+        tensor fits FORWARD_CHUNK_BYTES (at least one row), through one
+        reused buffer; bias and activation then run once over all rows.
+        The output is bit-identical to ``forward_parts(inputs)[2]`` (``[1]``
+        without activation).
         """
         inputs = self._checked(inputs)
         rows = max(1, FORWARD_CHUNK_BYTES // (8 * self.fan_in * self.width))
-        out = np.empty((len(inputs), self.width))
+        Z = np.empty((min(rows, len(inputs)), self.fan_in, self.width))
+        x = np.empty((len(inputs), self.width))
         for start in range(0, len(inputs), rows):
-            out[start:start + rows] = self._parts(inputs[start:start + rows])[2]
-        return out
+            chunk = inputs[start:start + rows, :, None]
+            Z_chunk = nodal_forward(self.op_set.nodal, self.weights[None], chunk,
+                                    Z[:len(chunk)])
+            x[start:start + rows] = pool_forward_batch(self.op_set.pool, Z_chunk)
+        x += self.bias
+        return activation_forward(self.op_set.activation, x) if activate else x
 
     def backward(self, inputs: np.ndarray, Z: np.ndarray, x: np.ndarray,
                  dh: np.ndarray, want_inputs: bool, scratch=None):

@@ -27,10 +27,12 @@ from .errors import (
 )
 from .network import GopLayer, GopNetwork, NeuronBlock, NormState
 from .operators import (
+    ACTIVATION_ORDER,
     LIBRARY_SIZE,
     PERCEPTRON_SET,
     STD_FLOOR,
     OperatorSet,
+    activation_forward,
     enumerate_operator_sets,
 )
 from .ridge import Metric, evaluate_candidate
@@ -235,6 +237,48 @@ class SearchResult:
     candidate_scores: list
 
 
+def _shared_forward_groups(library, width: int) -> list[list[OperatorSet]]:
+    """Runs of consecutive candidates sharing nodal and pool operators, at
+    most one per activation, whose blocks run as one wide forward.
+
+    A one-wide block pools its fan-in with numpy's pairwise sum, a wider one
+    adds in order, so at width 1 every candidate runs alone to keep its bits.
+    """
+    groups: list[list[OperatorSet]] = []
+    for op_set in library:
+        last = groups[-1] if groups else None
+        if (width > 1 and last and len(last) < len(ACTIVATION_ORDER)
+                and (last[0].nodal, last[0].pool) == (op_set.nodal, op_set.pool)):
+            last.append(op_set)
+        else:
+            groups.append([op_set])
+    return groups
+
+
+def _candidate_features(width: int, fan_in: int, library, X_layer: np.ndarray,
+                        seed: int, layer_index: int, step_index: int):
+    """(op_set, W, b, raw features [N, width]) per candidate, in library order.
+
+    Each candidate draws W and b from its own seed.  A group's nodal and pool
+    stages run as one block of their weights side by side, then each
+    candidate applies its own activation to its column span: the bits of
+    ``NeuronBlock(op_set, W, b).forward(X_layer)``.
+    """
+    for group in _shared_forward_groups(library, width):
+        draws = []
+        for op_set in group:
+            rng = np.random.default_rng(np.random.SeedSequence(
+                [seed, layer_index, step_index, op_set.index]))
+            draws.append((rng.uniform(-1.0, 1.0, size=(fan_in, width)),
+                          rng.uniform(-1.0, 1.0, size=width)))
+        wide = NeuronBlock(group[0], np.hstack([W for W, _ in draws]),
+                           np.concatenate([b for _, b in draws]))
+        pre = wide.forward(X_layer, activate=False)
+        for j, (op_set, (W, b)) in enumerate(zip(group, draws)):
+            yield op_set, W, b, activation_forward(
+                op_set.activation, pre[:, j * width:(j + 1) * width])
+
+
 def search_operator_set(width: int, fan_in: int, library,
                         X_layer: np.ndarray, Y: np.ndarray,
                         existing: np.ndarray | None,
@@ -248,7 +292,7 @@ def search_operator_set(width: int, fan_in: int, library,
     deterministic per-candidate seed, standardizes its raw features by the
     training rows, and is scored by a ridge solve over the committed features
     and its own, fitted on the training rows and scored on the validation
-    rows when present.  Ties go to the lowest operator index.
+    rows when present.  Ties go to the first best candidate.
     """
     n = len(Y)
     if len(X_layer) != n + (0 if Y_val is None else len(Y_val)):
@@ -259,15 +303,10 @@ def search_operator_set(width: int, fan_in: int, library,
     best: SearchResult | None = None
     indices, scores = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for op_set in library:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, layer_index, step_index,
-                                        op_set.index]))
-            W = rng.uniform(-1.0, 1.0, size=(fan_in, width))
-            b = rng.uniform(-1.0, 1.0, size=width)
-            block = NeuronBlock(op_set, W, b)
+        for op_set, W, b, H_raw in _candidate_features(
+                width, fan_in, library, X_layer, config.seed, layer_index,
+                step_index):
             indices.append(op_set.index)
-            H_raw = block.forward(X_layer)
             mean = H_raw[:n].mean(axis=0)
             std = np.maximum(H_raw[:n].std(axis=0), STD_FLOOR)
             H_bar = (H_raw - mean) / std
@@ -371,8 +410,9 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
     rate-metric value.  The first block is always kept; every later block is
     kept only if its improvement rate clears eps_n, otherwise the network is
     restored bit-exactly to its pre-step state and growth stops.  A step
-    whose finetune diverges is rejected the same way; divergence on a
-    layer's first block propagates NonFiniteLoss to the caller.
+    whose finetune diverges, or whose every candidate fails, ends growth the
+    same way; on a layer's first block they propagate NonFiniteLoss and
+    AllCandidatesFailed to the caller.
     """
     config = ctx.config
     with np.errstate(over="ignore", invalid="ignore"):
@@ -394,9 +434,14 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
             step_library = [net.hidden[layer_index].blocks[0].op_set]
         with np.errstate(over="ignore", invalid="ignore"):
             existing = net.hidden[layer_index].forward(X_layer) if step > 0 else None
-        found = search_operator_set(
-            width, fan_in, step_library, X_layer, ctx.Y_train, existing,
-            config, layer_index, step, ctx.Y_val)
+        try:
+            found = search_operator_set(
+                width, fan_in, step_library, X_layer, ctx.Y_train, existing,
+                config, layer_index, step, ctx.Y_val)
+        except AllCandidatesFailed:
+            if step == 0:
+                raise
+            break  # as a rejected step: the layer keeps its blocks so far
         net = _commit_candidate(net, layer_index, found, ctx.X_train.shape[1],
                                 n_classes)
         layer = net.hidden[layer_index]

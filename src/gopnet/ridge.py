@@ -32,6 +32,16 @@ class Metric(Enum):
 
 def solve_ridge(H: np.ndarray, Y: np.ndarray, c: float = 0.0) -> np.ndarray:
     """Ridge solution B [d, C] minimizing ||H B - Y||^2 + c ||B||^2."""
+    return _ridge_solver(H, Y)(c)
+
+
+def _ridge_solver(H: np.ndarray, Y: np.ndarray):
+    """Validate (H, Y) once and return c -> solve_ridge(H, Y, c).
+
+    The Gram matrix and H'Y of the primal form (HH' of the dual one) are
+    formed on the first c > 0 and shared by every later c, so each solve has
+    the bits of a solve_ridge call of its own.
+    """
     H = np.ascontiguousarray(H, dtype=float)
     Y = np.ascontiguousarray(Y, dtype=float)
     if H.ndim != 2 or Y.ndim != 2:
@@ -40,18 +50,24 @@ def solve_ridge(H: np.ndarray, Y: np.ndarray, c: float = 0.0) -> np.ndarray:
         raise DimensionMismatch(f"H has {H.shape[0]} rows, Y has {Y.shape[0]}")
     if H.shape[0] < 1 or H.shape[1] < 1 or Y.shape[1] < 1:
         raise DimensionMismatch("H and Y need at least one row and column")
-    if c < 0:
-        raise ValueError("ridge coefficient must be non-negative")
     if not (np.isfinite(H).all() and np.isfinite(Y).all()):
         raise ValueError("H and Y must be finite")
     n, d = H.shape
-    if c == 0.0:
-        return _pinv_solve(H, Y)
-    if d < n:
-        gram = H.T @ H + c * np.eye(d)
-        return np.linalg.solve(gram, H.T @ Y)
-    gram = H @ H.T + c * np.eye(n)
-    return H.T @ np.linalg.solve(gram, Y)
+    primal = d < n
+    gram = rhs = None
+
+    def solve(c: float) -> np.ndarray:
+        nonlocal gram, rhs
+        if c < 0:
+            raise ValueError("ridge coefficient must be non-negative")
+        if c == 0.0:
+            return _pinv_solve(H, Y)
+        if gram is None:
+            gram, rhs = (H.T @ H, H.T @ Y) if primal else (H @ H.T, Y)
+        B = np.linalg.solve(gram + c * np.eye(len(gram)), rhs)
+        return B if primal else H.T @ B
+
+    return solve
 
 
 def _pinv_solve(H: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -116,11 +132,12 @@ def evaluate_candidate(H: np.ndarray, Y: np.ndarray, c_grid,
         H_score, Y_score = H, Y
     else:
         H_score, Y_score = H_val, Y_val
+    solve = _ridge_solver(H, Y)
     best: CandidateResult | None = None
     last_error: Exception | None = None
     for c in c_grid:
         try:
-            B = solve_ridge(H, Y, c)
+            B = solve(c)
         except SingularSystem as exc:
             last_error = exc
             continue

@@ -421,6 +421,32 @@ class TestDegenerateCsvs:
             assert ((root / "a" / name).read_bytes()
                     == (root / "b" / name).read_bytes()), name
 
+    @pytest.mark.parametrize("variant", ["homlrn", "hemlrn"])
+    def test_failed_later_step_keeps_the_grown_network(self, tmp_path,
+                                                       capsys, variant):
+        """Every candidate of layer 0's second step fails on the overflowing
+        committed features; growth keeps the first block and exits 0."""
+        values = ["-1.7976931348623157e308", "2.5", "2.80",
+                  "-1.7976931348623157e308", "-0.0", "5e-324", "-5.0"]
+        labels = ["c1", "c1", "c1", "c1", "c1", "c0", "c1"]
+        (tmp_path / "data.csv").write_text("x0,label\n" + "".join(
+            f"{v},{c}\n" for v, c in zip(values, labels)))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            **TINY_RUN, "variant": variant,
+            "split": {**ALL_TRAIN, "stratified": False},
+            "dataset": {"path": str(tmp_path / "data.csv"),
+                        "standardize_features": False}}))
+        for out in ("a", "b"):
+            assert main(["train", "--config", str(config),
+                         "--out", str(tmp_path / out)]) == 0
+            assert capsys.readouterr().err == ""
+        for name in ("model.json", "report.json", "trainlog.csv"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert report["layers"][0]["width"] == 1
+
 
 class TestEval:
     def test_eval_reproduces_test_metrics_exactly(self, trained_run, run_config,

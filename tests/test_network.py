@@ -27,6 +27,7 @@ from gopnet.operators import (
     NodalOp,
     OperatorSet,
     PoolOp,
+    activation_forward,
     enumerate_operator_sets,
 )
 
@@ -105,9 +106,34 @@ class TestBlockForward:
             for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
                 with np.errstate(all="ignore"):
                     chunked = block.forward(X[:n])
-                    whole = block.forward_parts(X[:n])[2]
+                    pre = block.forward(X[:n], activate=False)
+                    _, x, whole = block.forward_parts(X[:n])
                 assert chunked.shape == (n, width)
                 assert np.array_equal(chunked, whole, equal_nan=True), (op_set, n)
+                assert np.array_equal(pre, x, equal_nan=True), (op_set, n)
+
+        # six blocks that share nodal and pool operators, run as one block of
+        # their weights side by side: each span, activated, is its own forward
+        group = len(ActivationOp)
+        chunk = max(1, network.FORWARD_CHUNK_BYTES // (8 * fan_in * group * width))
+        X = rng.normal(scale=2.0, size=(3 * chunk + 5, fan_in))
+        library = enumerate_operator_sets()
+        for start in range(0, len(library), group):
+            blocks = [NeuronBlock(op_set, rng.uniform(-1, 1, (fan_in, width)),
+                                  rng.uniform(-1, 1, width))
+                      for op_set in library[start:start + group]]
+            wide = NeuronBlock(blocks[0].op_set,
+                               np.hstack([b.weights for b in blocks]),
+                               np.concatenate([b.bias for b in blocks]))
+            for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+                with np.errstate(all="ignore"):
+                    pre = wide.forward(X[:n], activate=False)
+                    for j, block in enumerate(blocks):
+                        span = activation_forward(
+                            block.op_set.activation,
+                            pre[:, j * width:(j + 1) * width])
+                        assert np.array_equal(span, block.forward(X[:n]),
+                                              equal_nan=True), (block.op_set, n)
 
 
 class TestBlockBackward:

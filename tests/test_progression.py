@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
@@ -22,6 +22,7 @@ from gopnet.errors import (
 )
 from gopnet.network import GopNetwork, NeuronBlock
 from gopnet.operators import (
+    LIBRARY_SIZE,
     ActivationOp,
     NodalOp,
     OperatorSet,
@@ -33,6 +34,7 @@ from gopnet.progression import (
     LayerRecord,
     Metric,
     ProgressionConfig,
+    SearchResult,
     Variant,
     derive_seed,
     improvement_rate,
@@ -93,11 +95,114 @@ class TestImprovementRate:
             improvement_rate(0.0, 0.1, Metric.MSE)
 
 
+def per_candidate_search(width, fan_in, library, X_layer, Y, existing,
+                         config, layer_index, step_index, Y_val=None):
+    """search_operator_set as one block forward per candidate: the loop the
+    grouped search must reproduce bit for bit."""
+    n = len(Y)
+    best = None
+    indices, scores = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op_set in library:
+            rng = np.random.default_rng(np.random.SeedSequence(
+                [config.seed, layer_index, step_index, op_set.index]))
+            W = rng.uniform(-1.0, 1.0, size=(fan_in, width))
+            b = rng.uniform(-1.0, 1.0, size=width)
+            indices.append(op_set.index)
+            H_raw = NeuronBlock(op_set, W, b).forward(X_layer)
+            mean = H_raw[:n].mean(axis=0)
+            std = np.maximum(H_raw[:n].std(axis=0), STD_FLOOR)
+            H_bar = (H_raw - mean) / std
+            if not np.isfinite(H_bar).all():
+                scores.append(None)
+                continue
+            H = H_bar if existing is None else np.hstack([existing, H_bar])
+            try:
+                result = evaluate_candidate(
+                    H[:n], Y, config.c_grid, config.rate_metric,
+                    None if Y_val is None else H[n:], Y_val)
+            except (SingularSystem, np.linalg.LinAlgError):
+                scores.append(None)
+                continue
+            scores.append(result.score)
+            if best is None or config.rate_metric.better(result.score,
+                                                         best.score):
+                best = SearchResult(op_set, W, b, mean, std, result.B,
+                                    result.score, indices, scores)
+    if best is None:
+        raise AllCandidatesFailed(
+            f"all {len(library)} operator-set candidates failed")
+    return best
+
+
+@st.composite
+def search_libraries(draw):
+    """Library indices in any order: single sets, repeats, and runs of
+    consecutive sets that fill, split or straddle (nodal, pool) groups."""
+    indices = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, LIBRARY_SIZE - 1))
+        length = draw(st.integers(1, 8))
+        indices += range(start, min(start + length, LIBRARY_SIZE))
+    return draw(st.permutations(indices)) if draw(st.booleans()) else indices
+
+
 class TestSearchOperatorSet:
     def setup_method(self):
         rng = np.random.default_rng(0)
         self.X = rng.uniform(-2, 2, size=(80, 3))
         self.Y = one_hot((self.X[:, 0] > 0).astype(int), 2)
+
+    @given(seed=st.integers(0, 2**32 - 1), indices=search_libraries(),
+           width=st.integers(1, 6), fan_in=st.integers(1, 12),
+           budget=st.integers(1, 1 << 17),
+           specials=st.lists(st.tuples(
+               st.integers(0, 10**6), st.integers(0, 11),
+               st.sampled_from([np.inf, -np.inf, np.nan, 1e300, -1e300])),
+               max_size=3),
+           with_existing=st.booleans(), with_val=st.booleans(),
+           metric=st.sampled_from(Metric))
+    # a width-1 block over more than 8 inputs sums its fan-in pairwise
+    @example(seed=0, indices=list(range(24)), width=1, fan_in=12,
+             budget=1 << 17, specials=[], with_existing=False,
+             with_val=False, metric=Metric.MSE)
+    @settings(max_examples=60, deadline=None)
+    def test_grouped_search_has_the_bits_of_one_forward_per_candidate(
+            self, seed, indices, width, fan_in, budget, specials,
+            with_existing, with_val, metric):
+        rng = np.random.default_rng(seed)
+        n, n_val = 24, 8 if with_val else 0
+        X = rng.normal(scale=2.0, size=(n + n_val, fan_in))
+        for row, col, value in specials:
+            X[row % len(X), col % fan_in] = value
+        Y = one_hot(rng.integers(0, 3, n), 3)
+        Y_val = one_hot(rng.integers(0, 3, n_val), 3) if with_val else None
+        existing = rng.normal(size=(n + n_val, 2)) if with_existing else None
+        config = fast_config(seed=seed, rate_metric=metric,
+                             op_set_indices=tuple(indices))
+        args = (width, fan_in, config.library(), X, Y, existing, config, 1, 2,
+                Y_val)
+        outcomes = []
+        for search in (search_operator_set, per_candidate_search):
+            with mock.patch.object(network, "FORWARD_CHUNK_BYTES", budget):
+                try:
+                    outcomes.append(search(*args))
+                except AllCandidatesFailed as exc:
+                    outcomes.append(str(exc))
+        grouped, reference = outcomes
+        if isinstance(reference, str):
+            assert grouped == reference
+            return
+        for name in ("weights", "bias", "mean", "std", "B"):
+            a, b = getattr(grouped, name), getattr(reference, name)
+            assert a.shape == b.shape, name
+            assert_array_equal(a.view(np.uint64), b.view(np.uint64), name)
+        assert grouped.weights.base is None and grouped.bias.base is None
+        assert grouped.op_set == reference.op_set
+        assert (np.float64(grouped.score).view(np.uint64)
+                == np.float64(reference.score).view(np.uint64))
+        assert grouped.candidate_indices == reference.candidate_indices
+        assert grouped.candidate_scores == reference.candidate_scores
 
     def test_single_set_library_returns_that_set(self):
         config = fast_config(op_set_indices=(77,))
@@ -318,6 +423,38 @@ class TestGrowthStopping:
         assert (step.accepted, step.r_value, step.metric_after) == (
             False, -1.0, float("inf"))
         assert net.to_json() == one_block.to_json()
+
+    @staticmethod
+    def _fail_search(monkeypatch, layer, step):
+        """Make every candidate of (layer, step)'s search fail."""
+        import gopnet.progression as progression
+
+        def fake(width, fan_in, library, X_layer, Y, existing, config,
+                 layer_index, step_index, Y_val=None):
+            if (layer_index, step_index) == (layer, step):
+                raise AllCandidatesFailed(
+                    f"all {len(library)} operator-set candidates failed")
+            return search_operator_set(width, fan_in, library, X_layer, Y,
+                                       existing, config, layer_index,
+                                       step_index, Y_val)
+        monkeypatch.setattr(progression, "search_operator_set", fake)
+
+    @pytest.mark.parametrize("variant", [Variant.HEMLGOP, Variant.HOMLRN])
+    def test_later_step_search_failure_ends_the_layer(self, monkeypatch,
+                                                      variant):
+        ds = blob_dataset(seed=5)
+        one_block, one_report = run_progression(ds, fast_config(
+            seed=5, max_layers=1, max_layer_width=6, variant=variant))
+        self._fail_search(monkeypatch, layer=0, step=1)
+        net, report = run_progression(ds, fast_config(seed=5, max_layers=1,
+                                                      variant=variant))
+        assert net.to_json() == one_block.to_json()
+        assert report.to_dict() == one_report.to_dict()
+
+    def test_first_step_search_failure_raises(self, monkeypatch):
+        self._fail_search(monkeypatch, layer=1, step=0)
+        with pytest.raises(AllCandidatesFailed, match="all 144"):
+            run_progression(blob_dataset(seed=5), fast_config(seed=5))
 
     @staticmethod
     def _overflowing_run(epochs, batch_size=32, causes=None):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gopnet.errors import DimensionMismatch, SingularSystem
@@ -189,3 +191,42 @@ class TestEvaluateCandidate:
         b = evaluate_candidate(H, Y, (10.0, 1.0, 0.1), Metric.MSE)
         assert a.best_c == b.best_c
         assert_array_equal(a.B, b.B)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           d=st.integers(1, 12), classes=st.integers(1, 3),
+           grid=st.lists(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0]),
+                         min_size=1, max_size=4),
+           metric=st.sampled_from(Metric), validate=st.booleans())
+    @example(seed=0, n=8, d=3, classes=2, grid=[0.0, 0.1, 1.0],
+             metric=Metric.MSE, validate=False)  # primal form
+    @example(seed=0, n=3, d=8, classes=2, grid=[0.0, 0.1, 1.0],
+             metric=Metric.ACCURACY, validate=True)  # dual form
+    @settings(max_examples=80, deadline=None)
+    def test_one_gram_gives_the_bits_of_a_solve_per_c(
+            self, seed, n, d, classes, grid, metric, validate):
+        rng = np.random.default_rng(seed)
+        H, Y = rng.normal(size=(n, d)), rng.normal(size=(n, classes))
+        H_val, Y_val = ((rng.normal(size=(5, d)), rng.normal(size=(5, classes)))
+                        if validate else (None, None))
+        H_score, Y_score = (H_val, Y_val) if validate else (H, Y)
+        best = None  # (score, c, B) of evaluate_candidate, one solve per c
+        for c in grid:
+            try:
+                B = solve_ridge(H, Y, c)
+            except SingularSystem:
+                continue
+            P = H_score @ B
+            score = (float(np.mean((P - Y_score) ** 2)) if metric is Metric.MSE
+                     else float(np.mean(P.argmax(axis=1) == Y_score.argmax(axis=1))))
+            if np.isfinite(B).all() and np.isfinite(score) and (
+                    best is None or metric.better(score, best[0])
+                    or (score == best[0] and c > best[1])):
+                best = (score, c, B)
+        if best is None:
+            with pytest.raises(SingularSystem):
+                evaluate_candidate(H, Y, grid, metric, H_val, Y_val)
+            return
+        result = evaluate_candidate(H, Y, grid, metric, H_val, Y_val)
+        bits = np.array([result.score, result.best_c]).view(np.uint64)
+        assert_array_equal(bits, np.array(best[:2], dtype=float).view(np.uint64))
+        assert_array_equal(result.B.view(np.uint64), best[2].view(np.uint64))
