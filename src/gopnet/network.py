@@ -87,20 +87,22 @@ class NeuronBlock:
         x = pool_forward_batch(self.op_set.pool, Z) + self.bias
         return Z, x, activation_forward(self.op_set.activation, x)
 
-    def forward(self, inputs: np.ndarray, activate: bool = True) -> np.ndarray:
+    def forward(self, inputs: np.ndarray, activate: bool = True,
+                out: np.ndarray | None = None) -> np.ndarray:
         """Pre-normalization block outputs, [N, width], or with
         ``activate=False`` the pre-activations.
 
         Rows are independent, so nodal and pool run in chunks whose nodal
         tensor fits FORWARD_CHUNK_BYTES (at least one row), through one
         reused buffer; bias and activation then run once over all rows.
+        The pre-activations go into ``out``, an [N, width] array, if given.
         The output is bit-identical to ``forward_parts(inputs)[2]`` (``[1]``
         without activation).
         """
         inputs = self._checked(inputs)
         rows = max(1, FORWARD_CHUNK_BYTES // (8 * self.fan_in * self.width))
         Z = np.empty((min(rows, len(inputs)), self.fan_in, self.width))
-        x = np.empty((len(inputs), self.width))
+        x = np.empty((len(inputs), self.width)) if out is None else out
         for start in range(0, len(inputs), rows):
             chunk = inputs[start:start + rows, :, None]
             Z_chunk = nodal_forward(self.op_set.nodal, self.weights[None], chunk,
@@ -110,12 +112,14 @@ class NeuronBlock:
         return activation_forward(self.op_set.activation, x) if activate else x
 
     def backward(self, inputs: np.ndarray, Z: np.ndarray, x: np.ndarray,
-                 dh: np.ndarray, want_inputs: bool, scratch=None):
+                 dh: np.ndarray, want_inputs: bool, scratch=None, out=None):
         """(dW, dbias, dinputs) from the output gradient ``dh`` and the
         ``forward_parts`` intermediates of ``inputs``; dinputs, and the nodal
         dz/dy it reads, only if ``want_inputs``, else None.  Z is consumed:
         the grads and their [N, fan_in, width] products overwrite it.
-        ``scratch`` is three more arrays shaped like Z (fresh ones if None)."""
+        ``scratch`` is three more arrays shaped like Z, and ``out`` a (dW,
+        dbias) pair the parameter grads are written into (fresh ones if
+        None)."""
         G, S, T = scratch if scratch is not None else (
             np.empty_like(Z) for _ in range(3))
         dx = dh * activation_grad(self.op_set.activation, x)
@@ -124,7 +128,9 @@ class NeuronBlock:
             dZ = np.multiply(dZ, pool_grad_batch(self.op_set.pool, Z, G, T), out=G)
         gw, gy = nodal_grad(self.op_set.nodal, self.weights[None, :, :],
                             inputs[:, :, None], want_inputs, (Z, S, T))
-        dW, dbias = np.multiply(dZ, gw, out=Z).sum(axis=0), dx.sum(axis=0)
+        dW, dbias = out if out is not None else (None, None)
+        dW = np.multiply(dZ, gw, out=Z).sum(axis=0, out=dW)
+        dbias = dx.sum(axis=0, out=dbias)
         dinputs = np.multiply(dZ, gy, out=Z).sum(axis=2) if want_inputs else None
         return dW, dbias, dinputs
 

@@ -264,7 +264,11 @@ def _candidate_features(width: int, fan_in: int, library, X_layer: np.ndarray,
     candidate applies its own activation to its column span: the bits of
     ``NeuronBlock(op_set, W, b).forward(X_layer)``.
     """
-    for group in _shared_forward_groups(library, width):
+    groups = _shared_forward_groups(library, width)
+    # one pre-activation buffer per search; a group of k takes its first
+    # N * k * width entries as one contiguous [N, k * width] array
+    buffer = np.empty(len(X_layer) * width * max(map(len, groups), default=0))
+    for group in groups:
         draws = []
         for op_set in group:
             rng = np.random.default_rng(np.random.SeedSequence(
@@ -273,7 +277,9 @@ def _candidate_features(width: int, fan_in: int, library, X_layer: np.ndarray,
                           rng.uniform(-1.0, 1.0, size=width)))
         wide = NeuronBlock(group[0], np.hstack([W for W, _ in draws]),
                            np.concatenate([b for _, b in draws]))
-        pre = wide.forward(X_layer, activate=False)
+        pre = wide.forward(X_layer, activate=False,
+                           out=buffer[:len(X_layer) * wide.width].reshape(
+                               len(X_layer), wide.width))
         for j, (op_set, (W, b)) in enumerate(zip(group, draws)):
             yield op_set, W, b, activation_forward(
                 op_set.activation, pre[:, j * width:(j + 1) * width])

@@ -97,6 +97,11 @@ class TrainableSelection:
         """The last block of the top layer, and the output map."""
         return cls((len(net.hidden) - 1, len(net.hidden[-1].blocks) - 1))
 
+    def first_trained(self, net: GopNetwork) -> tuple:
+        """(lowest layer with a trained block, its first trained block);
+        the layer index is past the top layer if no block is trained."""
+        return (len(net.hidden), 0) if self.start is None else self.start
+
     def validate(self, net: GopNetwork) -> None:
         if self.start is None:
             return
@@ -109,7 +114,8 @@ class TrainableSelection:
 
 @dataclass
 class Gradients:
-    """Gradient arrays mirroring the selected parameters only."""
+    """Gradient arrays mirroring the selected parameters only: views of a
+    plan's flat gradient buffer, which every backward pass rewrites."""
 
     blocks: dict = field(default_factory=dict)  # (l, b) -> (dW, dbias)
     norm: dict = field(default_factory=dict)    # l -> (dscale, dshift), live columns
@@ -190,7 +196,7 @@ class _LayerPlan:
     spans: list                 # column slice of each block
     visit: list                 # trained block indices, which backward visits
     live: slice | None          # batch-stat normalized columns, if any
-    live_norm: tuple            # (scale, shift, mean, std) of the live columns
+    live_norm: tuple | None     # (scale, shift) of the live columns
     frozen: tuple | None        # (span, scale, mean, std, shift) of frozen columns
     frozen_gain: tuple | None   # (span, scale / std) of trained standardized columns
     Z: list                     # per block, a [rows, fan_in, width] buffer
@@ -202,30 +208,77 @@ class _Plan:
     layers: list
     lowest: int                 # lowest layer with a trained block, else past the top
     include_output: bool
+    grad: np.ndarray            # flat, in _param_slots order
+    grads: Gradients            # views of grad
+
+
+def _param_slots(net: GopNetwork, selection: TrainableSelection) -> list:
+    """(owner, name) of every array finetune updates, in flat-buffer order:
+    the weight matrices first (trained blocks from the top layer down, in
+    block order within a layer, then the output map), then the block biases
+    in the same order, each trained batch-norm layer's scale and shift, and
+    the output bias.  The frozen prefix of the lowest layer's scale and
+    shift rides along with a zero gradient, so its bits never change."""
+    for li, layer in enumerate(net.hidden):
+        if not layer.norm.fitted:
+            raise UnfitNormalization(f"layer {li} normalization is unfitted")
+    lowest, first = selection.first_trained(net)
+    blocks, norms = [], []
+    for li in range(len(net.hidden) - 1, lowest - 1, -1):
+        layer = net.hidden[li]
+        blocks += layer.blocks[first if li == lowest else 0:]
+        if layer.norm.mode is NormMode.BATCHNORM:
+            norms.append(layer.norm)
+    output = [(net, "output_weights"), (net, "output_bias")] \
+        if selection.include_output else []
+    return ([(b, "weights") for b in blocks] + output[:1]
+            + [(b, "bias") for b in blocks]
+            + [(norm, name) for norm in norms for name in ("scale", "shift")]
+            + output[1:])
+
+
+def _values_of(slots: list) -> list:
+    return [getattr(owner, name) for owner, name in slots]
+
+
+def _flat_views(flat: np.ndarray, arrays: list) -> list:
+    """Consecutive views of ``flat`` shaped, and ordered in memory, as
+    ``arrays``."""
+    views, start = [], 0
+    for a in arrays:
+        order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+        views.append(flat[start:start + a.size].reshape(a.shape, order=order))
+        start += a.size
+    return views
 
 
 def _plan(net: GopNetwork, selection: TrainableSelection, rows: int) -> _Plan:
-    """The plan of passes over at most ``rows`` rows at a time."""
-    lowest, first = ((len(net.hidden), 0) if selection.start is None
-                     else selection.start)
+    """The plan of passes over at most ``rows`` rows at a time, with a
+    zeroed flat buffer for the grads in _param_slots order."""
+    slots = _param_slots(net, selection)
+    arrays = _values_of(slots)
+    grad = np.zeros(sum(a.size for a in arrays))
+    view = {(id(owner), name): v
+            for (owner, name), v in zip(slots, _flat_views(grad, arrays))}
+    grads = Gradients(output=(view[id(net), "output_weights"],
+                              view[id(net), "output_bias"])
+                      if selection.include_output else None)
+    lowest, first = selection.first_trained(net)
     flat = [np.empty(max(rows * layer.fan_in * b.width for layer in net.hidden
                          for b in layer.blocks)) for _ in range(3)]
     layers = []
     for li, layer in enumerate(net.hidden):
         norm = layer.norm
-        if not norm.fitted:
-            raise UnfitNormalization(f"layer {li} normalization is unfitted")
         spans = [layer.block_slice(bi) for bi in range(len(layer.blocks))]
         visit = ([] if li < lowest
                  else list(range(first if li == lowest else 0, len(spans))))
         trained = slice(spans[visit[0]].start, layer.width) if visit else None
         live = trained if norm.mode is NormMode.BATCHNORM else None
         frozen = slice(0, layer.width if live is None else live.start)
-        live_norm = None if live is None else (
-            norm.scale[live], norm.shift[live], norm.mean[live], norm.std[live])
         shapes = [(rows, layer.fan_in, b.width) for b in layer.blocks]
         layers.append(_LayerPlan(
-            spans, visit, live, live_norm,
+            spans, visit, live,
+            None if live is None else (norm.scale[live], norm.shift[live]),
             (frozen, norm.scale[frozen], norm.mean[frozen], norm.std[frozen],
              norm.shift[frozen]) if frozen.stop > 0 else None,
             (trained, norm.scale[trained] / norm.std[trained])
@@ -233,7 +286,16 @@ def _plan(net: GopNetwork, selection: TrainableSelection, rows: int) -> _Plan:
             [np.empty(shape) for shape in shapes],
             [tuple(f[:np.prod(shape)].reshape(shape) for f in flat)
              for shape in shapes]))
-    return _Plan(layers, lowest, selection.include_output)
+    for li in range(len(net.hidden) - 1, lowest - 1, -1):  # as backward visits
+        lp, layer = layers[li], net.hidden[li]
+        for bi in lp.visit:
+            block = layer.blocks[bi]
+            grads.blocks[(li, bi)] = (view[id(block), "weights"],
+                                      view[id(block), "bias"])
+        if lp.live is not None:
+            grads.norm[li] = (view[id(layer.norm), "scale"][lp.live],
+                              view[id(layer.norm), "shift"][lp.live])
+    return _Plan(layers, lowest, selection.include_output, grad, grads)
 
 
 @dataclass
@@ -242,26 +304,25 @@ class _LayerCache:
     Z: tuple                    # per block, [N, fan_in, width] plan buffer views
     x: tuple                    # per block pre-activation, [N, width]
     xhat: np.ndarray | None     # [N, n_live]
-    sigma: np.ndarray | None    # [n_live]
-    batch_mean: np.ndarray | None
+    batch_stats: np.ndarray | None  # [2, n_live]: batch mean, then sigma
     a: np.ndarray               # output after normalization and any dropout
     drop_mask: np.ndarray | None
 
 
 def _forward_train(net: GopNetwork, X: np.ndarray, plan: _Plan,
-                   dropout_input: float = 0.0, dropout_hidden: float = 0.0,
-                   rng: np.random.Generator | None = None):
+                   input_mask: np.ndarray | None = None,
+                   hidden_masks: list | None = None,
+                   P_out: np.ndarray | None = None):
     """Forward pass over checked inputs capturing intermediates for backward.
 
-    Dropout uses inverted scaling; with both rates zero the pass is a pure
-    function of (net, X, plan).
+    Dropout multiplies the inputs by ``input_mask`` and each layer's output
+    by its entry of ``hidden_masks``, inverted-scaled masks; without them
+    the pass is a pure function of (net, X, plan).  The output map's result
+    is written into ``P_out`` if given.
     """
-    a = X
-    if dropout_input > 0.0:
-        input_mask = (rng.random(a.shape) >= dropout_input) / (1.0 - dropout_input)
-        a = a * input_mask
+    a = X if input_mask is None else X * input_mask
     caches = []
-    for layer, lp in zip(net.hidden, plan.layers):
+    for li, (layer, lp) in enumerate(zip(net.hidden, plan.layers)):
         inputs = a
         Zs, xs, hs = zip(*(block._parts(inputs, Z[:len(inputs)])
                            for block, Z in zip(layer.blocks, lp.Z)))
@@ -270,29 +331,28 @@ def _forward_train(net: GopNetwork, X: np.ndarray, plan: _Plan,
         if lp.frozen is not None:
             sp, scale, mean, std, shift = lp.frozen
             out[:, sp] = scale * (H_raw[:, sp] - mean) / std + shift
-        xhat = sigma = batch_mean = None
+        xhat = batch_stats = None
         if lp.live is not None:
             # an F-ordered copy, as a boolean-mask gather makes: its axis-0
             # sums run pairwise, where a C-ordered one sums row by row and
             # would move the batch statistics in their last bits
             h_live = np.asfortranarray(H_raw[:, lp.live])
             n = len(h_live)
+            batch_stats = np.empty((2, h_live.shape[1]))
+            batch_mean, sigma = batch_stats
             # h.mean(axis=0) and h.var(axis=0) as numpy computes them
-            batch_mean = np.add.reduce(h_live, axis=0) / n
+            np.divide(np.add.reduce(h_live, axis=0), n, out=batch_mean)
             centered = h_live - batch_mean
-            sigma = np.sqrt(np.add.reduce(centered * centered, axis=0) / n + BN_EPS)
+            np.sqrt(np.add.reduce(centered * centered, axis=0) / n + BN_EPS,
+                    out=sigma)
             xhat = centered / sigma
-            scale, shift = lp.live_norm[:2]
+            scale, shift = lp.live_norm
             out[:, lp.live] = scale * xhat + shift
-        drop_mask = None
-        if dropout_hidden > 0.0:
-            drop_mask = (rng.random(out.shape) >= dropout_hidden) / (1.0 - dropout_hidden)
-            a = out * drop_mask
-        else:
-            a = out
-        caches.append(_LayerCache(inputs, Zs, xs, xhat, sigma,
-                                  batch_mean, a, drop_mask))
-    P = a @ net.output_weights + net.output_bias
+        drop_mask = None if hidden_masks is None else hidden_masks[li]
+        a = out if drop_mask is None else np.multiply(out, drop_mask, out=out)
+        caches.append(_LayerCache(inputs, Zs, xs, xhat, batch_stats, a,
+                                  drop_mask))
+    P = np.add(a @ net.output_weights, net.output_bias, out=P_out)
     return P, caches
 
 
@@ -325,9 +385,12 @@ def backward(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
 
 def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
                           plan: _Plan) -> Gradients:
-    grads = Gradients()
+    """Every selected parameter's grad, written into ``plan.grads``."""
+    grads = plan.grads
     if plan.include_output:
-        grads.output = (caches[-1].a.T @ dP, dP.sum(axis=0))
+        dB, dbias = grads.output
+        np.matmul(caches[-1].a.T, dP, out=dB)
+        dP.sum(axis=0, out=dbias)
     dA = dP @ net.output_weights.T
     for li in range(len(net.hidden) - 1, plan.lowest - 1, -1):
         layer, lp, cache = net.hidden[li], plan.layers[li], caches[li]
@@ -344,17 +407,18 @@ def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
             dxhat = d_live * lp.live_norm[0]
             mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=0) / n
             dH_raw[:, lp.live] = (dxhat - np.add.reduce(dxhat, axis=0) / n
-                                  - xhat * mean_dxhat_xhat) / cache.sigma
-            grads.norm[li] = (np.add.reduce(d_live * xhat, axis=0),
-                              np.add.reduce(d_live, axis=0))
+                                  - xhat * mean_dxhat_xhat) / cache.batch_stats[1]
+            dscale, dshift = grads.norm[li]
+            np.add.reduce(d_live * xhat, axis=0, out=dscale)
+            np.add.reduce(d_live, axis=0, out=dshift)
         need_dinputs = li > plan.lowest
         dinputs = np.zeros_like(cache.inputs) if need_dinputs else None
         rows = len(cache.inputs)
         for bi in lp.visit:
-            dW, dbias, dblock = layer.blocks[bi].backward(
+            _, _, dblock = layer.blocks[bi].backward(
                 cache.inputs, cache.Z[bi], cache.x[bi], dH_raw[:, lp.spans[bi]],
-                need_dinputs, [s[:rows] for s in lp.scratch[bi]])
-            grads.blocks[(li, bi)] = (dW, dbias)
+                need_dinputs, [s[:rows] for s in lp.scratch[bi]],
+                grads.blocks[(li, bi)])
             if need_dinputs:
                 dinputs += dblock
         dA = dinputs
@@ -365,29 +429,79 @@ def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
 # SGD loop
 # ---------------------------------------------------------------------------
 
-def _apply_update(net: GopNetwork, grads: Gradients, lr: float, spec: TrainSpec,
-                  plan: _Plan, epoch: int) -> None:
+@dataclass
+class _FlatParams:
+    """For one finetune call, the arrays it updates rebound to views of one
+    buffer in _param_slots order, and each trained batch-norm layer's running
+    mean and std to the two rows of one [2, width] array."""
+
+    values: np.ndarray
+    previous: np.ndarray | None  # the values before this step, under max-norm
+    n_weights: int               # length of the weight-matrix prefix
+    matrices: list               # (matrix, end of its weights, end of its bias)
+    stats: dict                  # layer index -> [2, width] mean and std
+    originals: list              # (owner, name, the caller's array)
+
+
+def _bind_flat(net: GopNetwork, selection: TrainableSelection,
+               spec: TrainSpec) -> _FlatParams:
+    slots = _param_slots(net, selection)
+    arrays = _values_of(slots)
+    originals = [(owner, name, a) for (owner, name), a in zip(slots, arrays)]
+    values = np.empty(sum(a.size for a in arrays))
+    for (owner, name, array), view in zip(originals, _flat_views(values, arrays)):
+        view[...] = array
+        setattr(owner, name, view)
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    n_matrices = sum(a.ndim == 2 for a in arrays)
+    n_blocks = n_matrices - selection.include_output
+    # block k's bias is slot n_matrices + k, the output bias the last one
+    bias_ends = ends[n_matrices:n_matrices + n_blocks] + [len(values)]
+    matrices = list(zip(_values_of(slots[:n_matrices]), ends, bias_ends))
+    stats = {}
+    for li in range(selection.first_trained(net)[0], len(net.hidden)):
+        norm = net.hidden[li].norm
+        if norm.mode is NormMode.BATCHNORM:
+            originals += [(norm, "mean", norm.mean), (norm, "std", norm.std)]
+            stats[li] = np.stack([norm.mean, norm.std])
+            norm.mean, norm.std = stats[li]
+    previous = (np.empty_like(values) if isinstance(spec.weight_reg, MaxNorm)
+                else None)
+    return _FlatParams(values, previous, sum(a.size for a in arrays[:n_matrices]),
+                       matrices, stats, originals)
+
+
+def _unbind_flat(flat: _FlatParams) -> None:
+    """Copy the values back into the caller's arrays and rebind them."""
+    for owner, name, array in flat.originals:
+        array[...] = getattr(owner, name)
+        setattr(owner, name, array)
+
+
+def _apply_update(flat: _FlatParams, grad: np.ndarray, lr: float,
+                  spec: TrainSpec, epoch: int) -> None:
+    """One SGD step over every trained parameter; ``grad`` is consumed."""
     # no decay term at lam == 0: for finite W, dW + 0 * W differs from dW
     # only in the sign of a zero, which W - lr * dW does not keep
     decay = spec.weight_reg.lam if isinstance(spec.weight_reg, Decay) else 0.0
-    max_norm = spec.weight_reg.limit if isinstance(spec.weight_reg, MaxNorm) else None
-    for (li, bi), (dW, db) in grads.blocks.items():
-        block = net.hidden[li].blocks[bi]
-        block.weights -= lr * (dW + decay * block.weights if decay else dW)
-        block.bias -= lr * db
-        if max_norm is not None:
-            _project_rows(block.weights, max_norm, epoch)
-    for li, (dscale, dshift) in grads.norm.items():
-        scale, shift = plan.layers[li].live_norm[:2]
-        scale -= lr * dscale
-        shift -= lr * dshift
-    if grads.output is not None:
-        dB, dbias = grads.output
-        W = net.output_weights
-        W -= lr * (dB + decay * W if decay else dB)
-        net.output_bias -= lr * dbias
-        if max_norm is not None:
-            _project_rows(W, max_norm, epoch)
+    values, head = flat.values, flat.n_weights
+    if decay:
+        grad[:head] += decay * values[:head]
+    grad *= lr
+    if flat.previous is not None:
+        np.copyto(flat.previous, values)
+    values -= grad
+    if flat.previous is None:
+        return
+    for W, weights_end, bias_end in flat.matrices:
+        try:
+            _project_rows(W, spec.weight_reg.limit, epoch)
+        except NonFiniteLoss:
+            # as when each block is updated and projected in turn: what
+            # follows the failed matrix and its bias keeps its old values
+            values[weights_end:head] = flat.previous[weights_end:head]
+            values[bias_end:] = flat.previous[bias_end:]
+            raise
 
 
 def _project_rows(W: np.ndarray, limit: float, epoch: int) -> None:
@@ -401,15 +515,51 @@ def _project_rows(W: np.ndarray, limit: float, epoch: int) -> None:
     W[over] *= (limit / norms[over])[:, None]
 
 
-def _update_running_stats(caches, plan: _Plan) -> None:
-    for lp, cache in zip(plan.layers, caches):
-        if lp.live is None:
+def _update_running_stats(caches, running: list) -> None:
+    for stats, cache in zip(running, caches):
+        if stats is not None:
+            stats *= BN_MOMENTUM
+            cache.batch_stats *= 1.0 - BN_MOMENTUM
+            stats += cache.batch_stats
+
+
+def _epoch_layout(net: GopNetwork, n: int, spec: TrainSpec):
+    """Batch bounds, one buffer for an epoch's dropout draws, and the views
+    of it: per batch (input mask, hidden masks or None), and the (view,
+    rate) pairs that threshold every mask of the epoch in place.
+
+    The buffer holds the draws in the order per-batch draws take them from
+    the stream: per batch, its input mask, then each layer's hidden mask.
+    """
+    p_in, p_hidden = spec.dropout_input, spec.dropout_hidden
+    widths = ([net.input_dim] if p_in > 0 else []) + (
+        [layer.width for layer in net.hidden] if p_hidden > 0 else [])
+    per_row, size = sum(widths), spec.batch_size
+    draws = np.empty(n * per_row)
+    bounds, masks = [], []
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        views, offset = [], start * per_row
+        for width in widths:
+            views.append(draws[offset:offset + (stop - start) * width]
+                         .reshape(stop - start, width))
+            offset += (stop - start) * width
+        bounds.append((start, stop))
+        masks.append((views.pop(0) if p_in > 0 else None,
+                      views if p_hidden > 0 else None))
+    # the full batches as one row each, then any partial last batch
+    full = n // size * size
+    thresholds = []
+    for rows, block in ((size, draws[:full * per_row]),
+                        (n - full, draws[full * per_row:])):
+        if block.size == 0:
             continue
-        _, _, mean, std = lp.live_norm
-        mean *= BN_MOMENTUM
-        mean += (1.0 - BN_MOMENTUM) * cache.batch_mean
-        std *= BN_MOMENTUM
-        std += (1.0 - BN_MOMENTUM) * cache.sigma
+        block = block.reshape(-1, rows * per_row)
+        cut = rows * (net.input_dim if p_in > 0 else 0)
+        for view, rate in ((block[:, :cut], p_in), (block[:, cut:], p_hidden)):
+            if view.size:
+                thresholds.append((view, rate))
+    return bounds, draws, masks, thresholds
 
 
 def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
@@ -421,31 +571,57 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
     loss or weight norm, or an epoch that diverges by the DIVERGENCE_RATIO
     rule, raises NonFiniteLoss.  The per-layer plan (column spans, the
     frozen columns' normalization, the nodal tensor and grad buffers) and
-    the floating-point error state are set up once per call.
+    the floating-point error state are set up once per call.  For the call,
+    the trained parameters are views of one flat buffer, updated by one
+    subtraction per step; on return or raise their values go back into the
+    caller's arrays, which the network holds again.  Each epoch gathers its
+    permuted rows once, draws all its dropout masks with one call, in the
+    stream order of per-batch draws, and counts its hits once.
     """
     spec.validate()
     selection.validate(net)
     X, Y = data_train
     X = net.hidden[0].blocks[0]._checked(X)
-    plan = _plan(net, selection, min(spec.batch_size, len(X)))
+    flat = _bind_flat(net, selection, spec)
+    try:
+        return _sgd(net, X, Y, data_val, spec, selection, flat)
+    finally:
+        _unbind_flat(flat)
+
+
+def _sgd(net: GopNetwork, X: np.ndarray, Y, data_val, spec: TrainSpec,
+         selection: TrainableSelection, flat: _FlatParams) -> TrainLog:
+    n = X.shape[0]
+    plan = _plan(net, selection, min(spec.batch_size, n))
+    running = [flat.stats[li][:, lp.live] if lp.live is not None else None
+               for li, lp in enumerate(plan.layers)]
     Y = np.asarray(Y, dtype=float)
     labels = Y.argmax(axis=1)
+    bounds, draws, masks, thresholds = _epoch_layout(net, n, spec)
+    X_epoch, Y_epoch = np.empty((n, X.shape[1])), np.empty((n, Y.shape[1]))
+    labels_epoch = np.empty(n, dtype=labels.dtype)
+    P_epoch = np.empty((n, net.n_classes))
     rng = np.random.default_rng(spec.seed)
     log = TrainLog()
     loss_limit = None
-    n = X.shape[0]
     lrs = [lr for lr, epochs in spec.lr_schedule for _ in range(int(epochs))]
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch_index, lr in enumerate(lrs):
             order = rng.permutation(n)
+            for source, target in ((X, X_epoch), (Y, Y_epoch),
+                                   (labels, labels_epoch)):
+                np.take(source, order, axis=0, out=target)
+            if draws.size:
+                rng.random(out=draws)
+                for view, rate in thresholds:
+                    np.greater_equal(view, rate, out=view)
+                    view /= 1.0 - rate
             loss_sum = 0.0
-            hits = 0
-            for start in range(0, n, spec.batch_size):
-                idx = order[start:start + spec.batch_size]
+            for (start, stop), (input_mask, hidden_masks) in zip(bounds, masks):
                 P, caches = _forward_train(
-                    net, X[idx], plan, dropout_input=spec.dropout_input,
-                    dropout_hidden=spec.dropout_hidden, rng=rng)
-                batch_loss, dP = loss_and_grad(P, Y[idx], spec.loss)
+                    net, X_epoch[start:stop], plan, input_mask, hidden_masks,
+                    P_epoch[start:stop])
+                batch_loss, dP = loss_and_grad(P, Y_epoch[start:stop], spec.loss)
                 if not np.isfinite(batch_loss):
                     raise NonFiniteLoss(
                         f"non-finite training loss at epoch {epoch_index}",
@@ -453,11 +629,11 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
                 if loss_limit is None:  # the loss before any update
                     loss_limit = DIVERGENCE_RATIO * max(batch_loss,
                                                         DIVERGENCE_FLOOR)
-                loss_sum += batch_loss * len(idx)
-                hits += int((P.argmax(axis=1) == labels[idx]).sum())
-                grads = _backward_from_caches(net, caches, dP, plan)
-                _apply_update(net, grads, lr, spec, plan, epoch_index)
-                _update_running_stats(caches, plan)
+                loss_sum += batch_loss * (stop - start)
+                _backward_from_caches(net, caches, dP, plan)
+                _apply_update(flat, plan.grad, lr, spec, epoch_index)
+                _update_running_stats(caches, running)
+            hits = int((P_epoch.argmax(axis=1) == labels_epoch).sum())
             train_loss = loss_sum / n
             diverged = train_loss > loss_limit
             val_loss = val_acc = None

@@ -128,6 +128,11 @@ class TestBlockForward:
             for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
                 with np.errstate(all="ignore"):
                     pre = wide.forward(X[:n], activate=False)
+                    # into a caller's buffer that holds stale values
+                    buffer = np.full(len(X) * wide.width, np.nan)
+                    out = buffer[:n * wide.width].reshape(n, wide.width)
+                    assert wide.forward(X[:n], activate=False, out=out) is out
+                    assert np.array_equal(out, pre, equal_nan=True)
                     for j, block in enumerate(blocks):
                         span = activation_forward(
                             block.op_set.activation,
@@ -147,6 +152,13 @@ class TestBlockBackward:
         Z, x, _ = block.forward_parts(X)  # backward consumed the first Z
         dW, dbias, dinputs = block.backward(X, Z, x, dh, True)
         assert (dW.shape, dbias.shape, dinputs.shape) == ((4, 3), (3,), (6, 4))
+        # the parameter grads go into the caller's arrays when it passes them
+        out = (np.full((4, 3), np.nan), np.full(3, np.nan))
+        Z, x, _ = block.forward_parts(X)
+        into = block.backward(X, Z, x, dh, True, out=out)
+        assert into[0] is out[0] and into[1] is out[1]
+        for a, b in zip(into, (dW, dbias, dinputs)):
+            assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
     def test_perceptron_backward_is_dense_backward(self, rng):
         W, b = rng.normal(size=(4, 3)), rng.normal(size=3)

@@ -13,17 +13,21 @@ from gopnet.data import one_hot
 from gopnet.errors import ConfigError, NonFiniteLoss, UnfitNormalization
 from gopnet.network import GopLayer, GopNetwork, NeuronBlock, NormMode, NormState
 from gopnet.operators import ActivationOp, NodalOp, OperatorSet, PoolOp
+from gopnet import training
 from gopnet.ridge import solve_ridge
 from gopnet.training import (
     Decay,
     LossKind,
     MaxNorm,
     TrainableSelection,
+    TrainLog,
+    TrainLogRow,
     TrainSpec,
     backward,
     evaluate_metrics,
     finetune,
     init_batchnorm_from_standardization,
+    loss_and_grad,
     training_loss,
 )
 
@@ -567,3 +571,292 @@ class TestHandWrittenReductions:
                                   np.linalg.norm(h, axis=1))):
                 assert np.array_equal(np.asarray(ours).view(np.uint64),
                                       np.asarray(numpys).view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# The per-epoch loop against the per-batch one
+# ---------------------------------------------------------------------------
+
+def per_batch_finetune(net, data_train, data_val, spec, selection):
+    """finetune with one gather, dropout draw and hit count per batch and an
+    update block by block, each block projected before the next is updated:
+    the loop the per-epoch finetune must reproduce bit for bit, also in the
+    state a raise leaves behind."""
+    spec.validate()
+    selection.validate(net)
+    X, Y = data_train
+    X = net.hidden[0].blocks[0]._checked(X)
+    plan = training._plan(net, selection, min(spec.batch_size, len(X)))
+    Y = np.asarray(Y, dtype=float)
+    labels = Y.argmax(axis=1)
+    rng = np.random.default_rng(spec.seed)
+    log = TrainLog()
+    loss_limit = None
+    n = X.shape[0]
+    lrs = [lr for lr, epochs in spec.lr_schedule for _ in range(int(epochs))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch_index, lr in enumerate(lrs):
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            hits = 0
+            for start in range(0, n, spec.batch_size):
+                idx = order[start:start + spec.batch_size]
+                input_mask = hidden_masks = None
+                if spec.dropout_input > 0.0:
+                    input_mask = ((rng.random((len(idx), X.shape[1]))
+                                   >= spec.dropout_input)
+                                  / (1.0 - spec.dropout_input))
+                if spec.dropout_hidden > 0.0:
+                    hidden_masks = [(rng.random((len(idx), layer.width))
+                                     >= spec.dropout_hidden)
+                                    / (1.0 - spec.dropout_hidden)
+                                    for layer in net.hidden]
+                P, caches = training._forward_train(net, X[idx], plan,
+                                                    input_mask, hidden_masks)
+                batch_loss, dP = loss_and_grad(P, Y[idx], spec.loss)
+                if not np.isfinite(batch_loss):
+                    raise NonFiniteLoss(
+                        f"non-finite training loss at epoch {epoch_index}",
+                        epoch=epoch_index)
+                if loss_limit is None:
+                    loss_limit = training.DIVERGENCE_RATIO * max(
+                        batch_loss, training.DIVERGENCE_FLOOR)
+                loss_sum += batch_loss * len(idx)
+                hits += int((P.argmax(axis=1) == labels[idx]).sum())
+                grads = training._backward_from_caches(net, caches, dP, plan)
+                block_by_block_update(net, grads, lr, spec, plan, epoch_index)
+                for li, (lp, cache) in enumerate(zip(plan.layers, caches)):
+                    if lp.live is None:
+                        continue
+                    norm = net.hidden[li].norm
+                    mean, std = norm.mean[lp.live], norm.std[lp.live]
+                    batch_mean, sigma = cache.batch_stats
+                    mean *= training.BN_MOMENTUM
+                    mean += (1.0 - training.BN_MOMENTUM) * batch_mean
+                    std *= training.BN_MOMENTUM
+                    std += (1.0 - training.BN_MOMENTUM) * sigma
+            train_loss = loss_sum / n
+            diverged = train_loss > loss_limit
+            val_loss = val_acc = None
+            if data_val is not None:
+                val_loss, val_acc = evaluate_metrics(
+                    net, data_val[0], data_val[1], spec.loss)
+                diverged = diverged or not np.isfinite(val_loss)
+            if diverged:
+                raise NonFiniteLoss(
+                    f"training diverged at epoch {epoch_index} (training loss "
+                    f"{train_loss:.3g}, validation loss {val_loss})",
+                    epoch=epoch_index)
+            log.rows.append(TrainLogRow(epoch_index, lr, train_loss, hits / n,
+                                        val_loss, val_acc))
+    return log
+
+
+def block_by_block_update(net, grads, lr, spec, plan, epoch):
+    decay = spec.weight_reg.lam if isinstance(spec.weight_reg, Decay) else 0.0
+    max_norm = spec.weight_reg.limit if isinstance(spec.weight_reg, MaxNorm) else None
+    for (li, bi), (dW, db) in grads.blocks.items():
+        block = net.hidden[li].blocks[bi]
+        block.weights -= lr * (dW + decay * block.weights if decay else dW)
+        block.bias -= lr * db
+        if max_norm is not None:
+            training._project_rows(block.weights, max_norm, epoch)
+    for li, (dscale, dshift) in grads.norm.items():
+        scale, shift = plan.layers[li].live_norm
+        scale -= lr * dscale
+        shift -= lr * dshift
+    if grads.output is not None:
+        dB, dbias = grads.output
+        W = net.output_weights
+        W -= lr * (dB + decay * W if decay else dB)
+        net.output_bias -= lr * dbias
+        if max_norm is not None:
+            training._project_rows(W, max_norm, epoch)
+
+
+NORM_FIELDS = ("mean", "std", "scale", "shift")
+
+
+def held_arrays(net):
+    """Every parameter and statistic array of the network, in a fixed order."""
+    arrays = []
+    for layer in net.hidden:
+        for block in layer.blocks:
+            arrays += [block.weights, block.bias]
+        arrays += [getattr(layer.norm, name) for name in NORM_FIELDS]
+    return arrays + [net.output_weights, net.output_bias]
+
+
+def assert_same_bits(ours, reference):
+    assert len(ours) == len(reference)
+    for a, b in zip(ours, reference):
+        assert a.shape == b.shape
+        assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def float_bits(value):
+    return None if value is None else int(np.float64(value).view(np.uint64))
+
+
+def run_outcome(train, net, *args):
+    """(log rows or the raised NonFiniteLoss, as bits) of one training call."""
+    try:
+        log = train(net, *args)
+    except NonFiniteLoss as exc:
+        return ("raised", str(exc), exc.epoch)
+    return [(row.epoch, float_bits(row.lr), float_bits(row.train_loss),
+             float_bits(row.train_accuracy), float_bits(row.val_loss),
+             float_bits(row.val_accuracy)) for row in log.rows]
+
+
+OPS = (PERCEPTRON,
+       OperatorSet(NodalOp.HARMONIC, PoolOp.SUMMATION, ActivationOp.TANH),
+       OperatorSet(NodalOp.DOG, PoolOp.CORRELATION1, ActivationOp.SIGMOID),
+       OperatorSet(NodalOp.EXPONENTIAL, PoolOp.MAXIMUM, ActivationOp.ELU),
+       OperatorSet(NodalOp.GAUSSIAN, PoolOp.CORRELATION2,
+                   ActivationOp.SOFTPLUS))
+
+
+@st.composite
+def finetune_cases(draw):
+    layers = draw(st.lists(
+        st.tuples(st.lists(st.tuples(st.sampled_from(OPS), st.integers(1, 3)),
+                           min_size=1, max_size=3),
+                  st.booleans()),  # batch-norm layer
+        min_size=1, max_size=2))
+    start = draw(st.one_of(st.none(), st.integers(0, len(layers) - 1).flatmap(
+        lambda li: st.tuples(st.just(li),
+                             st.integers(0, len(layers[li][0]) - 1)))))
+    n = draw(st.integers(1, 20))
+    spec = TrainSpec(
+        lr_schedule=((draw(st.sampled_from([0.01, 0.3, 30.0])),
+                      draw(st.integers(1, 3))),),
+        batch_size=draw(st.integers(1, n + 3)),
+        dropout_input=draw(st.sampled_from([0.0, 0.2, 0.5])),
+        dropout_hidden=draw(st.sampled_from([0.0, 0.3])),
+        weight_reg=draw(st.sampled_from([None, MaxNorm(2.0), MaxNorm(0.1),
+                                         Decay(0.01), Decay(0.0)])),
+        loss=draw(st.sampled_from(LossKind)),
+        seed=draw(st.integers(0, 2**32 - 1)))
+    return (layers, TrainableSelection(start, draw(st.booleans())), n, spec,
+            draw(st.booleans()), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def random_net(rng, layers, fortran_output=False, input_dim=3, n_classes=3):
+    hidden, fit, fan_in = [], rng.normal(size=(30, input_dim)), input_dim
+    for blocks, batchnorm in layers:
+        layer = GopLayer([NeuronBlock(op, rng.uniform(-1, 1, (fan_in, width)),
+                                      rng.uniform(-1, 1, width))
+                          for op, width in blocks])
+        layer.norm.fit(layer.raw_forward(fit))
+        if batchnorm:
+            init_batchnorm_from_standardization(layer)
+            layer.norm.scale = rng.uniform(0.5, 1.5, size=layer.width)
+            layer.norm.shift = rng.uniform(-0.5, 0.5, size=layer.width)
+        hidden.append(layer)
+        fit, fan_in = layer.forward(fit), layer.width
+    # a one-row matmul with an F-ordered output map takes other bits
+    output = rng.normal(size=(fan_in, n_classes))
+    return GopNetwork(input_dim, hidden,
+                      np.asfortranarray(output) if fortran_output else output,
+                      rng.normal(size=n_classes) * 0.1)
+
+
+class TestPerEpochLoop:
+    """finetune draws, gathers and counts once per epoch and updates every
+    parameter with one subtraction; it must keep the bits of the per-batch
+    loop, and hand the caller back the arrays it held."""
+
+    @given(case=finetune_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_it_has_the_bits_of_the_per_batch_loop(self, case):
+        layers, selection, n, spec, with_val, fortran_output, seed = case
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, layers, fortran_output)
+        X = rng.normal(size=(n, 3))
+        Y = one_hot(rng.integers(0, 3, n), 3)
+        val = (rng.normal(size=(5, 3)), one_hot(rng.integers(0, 3, 5), 3)) \
+            if with_val else None
+        reference = copy.deepcopy(net)
+        held = held_arrays(net)
+        ours = run_outcome(finetune, net, (X, Y), val, spec, selection)
+        want = run_outcome(per_batch_finetune, reference, (X, Y), val, spec,
+                           selection)
+        assert ours == want
+        assert all(a is b for a, b in zip(held_arrays(net), held))
+        assert_same_bits(held, held_arrays(reference))
+
+    def test_a_raise_hands_back_the_held_arrays(self):
+        # the validation loss is NaN after the first epoch
+        net = build_net(np.random.default_rng(5), PERCEPTRON, batchnorm=True)
+        held = held_arrays(net)
+        X = np.random.default_rng(6).normal(size=(10, 3))
+        Y = one_hot(np.arange(10) % 2, 2)
+        X_val = X.copy()
+        X_val[0, 0] = np.nan
+        before = [a.copy() for a in held]
+        with pytest.raises(NonFiniteLoss, match="epoch 0"):
+            finetune(net, (X, Y), (X_val, Y),
+                     TrainSpec(lr_schedule=((0.01, 2),), batch_size=4),
+                     TrainableSelection.all_blocks(net))
+        after = held_arrays(net)
+        assert all(a is b for a, b in zip(after, held))
+        # the epoch's updates, running statistics included, stay in the
+        # caller's arrays
+        assert not any(np.array_equal(a, b) for a, b in zip(after, before))
+
+
+def overflow_case():
+    """A batch-norm layer of two blocks, both trained, whose targets hold
+    one row of 1e200: the batch that draws it sends the first block's
+    weights to a non-finite row norm."""
+    rng = np.random.default_rng(23)
+    blocks = [NeuronBlock(op, rng.uniform(-1, 1, (3, width)),
+                          rng.uniform(-1, 1, width))
+              for op, width in ((PERCEPTRON, 3), (OPS[1], 2))]
+    layer = GopLayer(blocks)
+    layer.norm.fit(layer.raw_forward(rng.normal(size=(40, 3))))
+    init_batchnorm_from_standardization(layer)
+    net = GopNetwork(3, [layer], rng.normal(size=(5, 2)) * 0.5,
+                     rng.normal(size=2) * 0.1)
+    X = rng.normal(size=(16, 3))
+    Y = one_hot(rng.integers(0, 2, 16), 2)
+    Y[13] *= 1e200  # the last batch of the first epoch draws it
+    spec = TrainSpec(lr_schedule=((0.05, 2),), batch_size=4,
+                     weight_reg=MaxNorm(2.0), loss=LossKind.CROSS_ENTROPY,
+                     seed=3)
+    return net, (X, Y), spec, TrainableSelection.all_blocks(net)
+
+
+def state_sha256(net):
+    return hashlib.sha256(b"".join(
+        np.ascontiguousarray(a).tobytes() for a in held_arrays(net))).hexdigest()
+
+
+# recorded with the per-batch loop that updated and projected block by block
+OVERFLOW_STATE_SHA256 = (
+    "1781f759dd4cbfc297f6183f37d63d8dc071694f756e9c3f249c012b7042e169")
+
+
+class TestMaxNormRaise:
+    def test_the_blocks_after_the_overflow_keep_their_pre_step_values(self):
+        net, data, spec, selection = overflow_case()
+        reference, initial = copy.deepcopy(net), copy.deepcopy(net)
+        held = held_arrays(net)
+        with pytest.raises(NonFiniteLoss,
+                           match="non-finite weight norm at epoch 0"):
+            finetune(net, data, None, spec, selection)
+        assert all(a is b for a, b in zip(held_arrays(net), held))
+        with pytest.raises(NonFiniteLoss):
+            per_batch_finetune(reference, data, None, spec, selection)
+        assert_same_bits(held_arrays(net), held_arrays(reference))
+        assert state_sha256(net) == OVERFLOW_STATE_SHA256
+        # the first block took the overflowing step, the second only the
+        # steps before it
+        first, second = net.hidden[0].blocks
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.linalg.norm(first.weights, axis=1)).all()
+        assert np.isfinite(second.weights).all()
+        assert not np.array_equal(second.weights,
+                                  initial.hidden[0].blocks[1].weights)
