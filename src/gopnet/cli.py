@@ -100,12 +100,14 @@ _REGULARIZERS = {"none": None, "max-norm": MaxNorm, "decay": Decay}
 
 
 def _weight_reg(value, path: str):
-    """null, {} and kind "none" mean no regularizer; the others take a value."""
+    """null, {} and kind "none" mean no regularizer; the others take a value.
+    A value beside kind "none", as merging the default leaves, is ignored."""
     if value is None:
         return None
-    kind = _choice(_REGULARIZERS)(_OBJECT(value, path).get("kind", "none"),
-                                  f"{path}.kind")
-    return kind and kind(_parse(value, {"value": _FLOAT}, path)["value"])
+    _known_keys(_OBJECT(value, path), ("kind", "value"), path)
+    kind = _choice(_REGULARIZERS)(value.get("kind", "none"), f"{path}.kind")
+    return kind and kind(_parse(value, {"kind": _TEXT, "value": _FLOAT},
+                                path)["value"])
 
 
 # Every config key and its parser.  The progression and train keys are the
@@ -160,11 +162,19 @@ DEFAULT_CONFIG = {
 }
 
 
+def _known_keys(value: dict, keys, path: str) -> None:
+    prefix = f"{path}." if path else ""
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+
+
 def _parse(value, schema, path: str):
-    """``value`` parsed by ``schema``: a parser, or a dict of schemas."""
+    """``value`` parsed by ``schema``: a parser, or a dict of schemas whose
+    keys ``value`` must hold, and no others."""
     if callable(schema):
         return schema(value, path)
-    _OBJECT(value, path)
+    _known_keys(_OBJECT(value, path), schema, path)
     prefix = f"{path}." if path else ""
     for key in schema:
         if key not in value:

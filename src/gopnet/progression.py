@@ -536,15 +536,14 @@ def run_progression(dataset: Dataset, config: ProgressionConfig):
     for layer in net.hidden:
         init_batchnorm_from_standardization(layer)
     spec = replace(config.train_spec, seed=derive_seed(config.seed, 2))
-    snapshot = copy.deepcopy(net)
     try:
         log = finetune(net, (X_train, Y_train),
                        None if X_val is None else (X_val, Y_val),
                        spec, TrainableSelection.all_blocks(net))
     except NonFiniteLoss:
-        # keep the progressively learned network; the full-network pass is
-        # an improvement step, not a requirement for a usable model
-        net, log = snapshot, None
+        # a raise leaves the progressively learned network as it was; the
+        # full-network pass is an improvement step, not a requirement
+        log = None
     report.operator_histogram = operator_histogram(net)
     report.finish(net, log, dataset, config.train_spec.loss, started)
     return net, report
@@ -602,7 +601,8 @@ def _train_shln(X, Y, width, hidden_op, output_op, epochs, base_spec: TrainSpec,
     The output stage is modeled as a GOP layer of C neurons feeding a frozen
     identity linear map, so the standard network type covers it.  A candidate
     whose training diverges scores infinitely badly instead of aborting the
-    whole search.
+    whole search, and its network is its seeded initialization, bit for bit:
+    a finetune that raises leaves the network as it was.
     """
     fan_in = X.shape[1]
     n_classes = Y.shape[1]
@@ -712,7 +712,6 @@ def _pop_progression(dataset: Dataset, template, target_mse, epochs,
     net = GopNetwork(dataset.X.shape[1], committed + list(shln.hidden),
                      np.eye(n_classes), np.zeros(n_classes))
     selection = TrainableSelection.all_blocks(net, include_output=False)
-    snapshot = copy.deepcopy(net)
     try:
         log = finetune(net, (X_train, Y_train),
                        (dataset.X_split("val"), dataset.targets("val"))
@@ -720,7 +719,7 @@ def _pop_progression(dataset: Dataset, template, target_mse, epochs,
                        replace(train_spec, seed=derive_seed(seed, 10_000)),
                        selection)
     except NonFiniteLoss:
-        # as in run_progression: the searched network stays usable
-        net, log = snapshot, None
+        # as in run_progression: the searched network stays as it was
+        log = None
     report.finish(net, log, dataset, train_spec.loss, started)
     return net, report

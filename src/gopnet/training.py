@@ -204,41 +204,55 @@ class _LayerPlan:
 
 
 @dataclass
+class _FlatParams:
+    """finetune's rebinding for one call: the arrays it updates are views of
+    one buffer in _param_slots order, and each trained batch-norm layer's
+    running mean and std the two rows of one [2, width] array."""
+
+    values: np.ndarray
+    n_weights: int              # length of the weight-matrix prefix
+    matrices: list              # the weight matrices, which max-norm projects
+    running: list               # per layer, [2, n_live] views of its running stats
+    originals: list             # (owner, name, the caller's array)
+
+
+@dataclass
 class _Plan:
     layers: list
     lowest: int                 # lowest layer with a trained block, else past the top
     include_output: bool
     grad: np.ndarray            # flat, in _param_slots order
     grads: Gradients            # views of grad
+    flat: _FlatParams | None    # the rebinding, if the plan made one
 
 
-def _param_slots(net: GopNetwork, selection: TrainableSelection) -> list:
-    """(owner, name) of every array finetune updates, in flat-buffer order:
-    the weight matrices first (trained blocks from the top layer down, in
-    block order within a layer, then the output map), then the block biases
-    in the same order, each trained batch-norm layer's scale and shift, and
+def _param_slots(net: GopNetwork, selection: TrainableSelection):
+    """(owner, name) of every array finetune updates, in flat-buffer order,
+    and the keys of the trained blocks, (layer, block), and of the trained
+    batch-norm layers in that order.  The order: the weight matrices first (trained blocks from the top layer down, in block
+    order within a layer, then the output map), then the block biases in
+    the same order, each trained batch-norm layer's scale and shift, and
     the output bias.  The frozen prefix of the lowest layer's scale and
     shift rides along with a zero gradient, so its bits never change."""
     for li, layer in enumerate(net.hidden):
         if not layer.norm.fitted:
             raise UnfitNormalization(f"layer {li} normalization is unfitted")
     lowest, first = selection.first_trained(net)
-    blocks, norms = [], []
+    blocks, norms = {}, {}
     for li in range(len(net.hidden) - 1, lowest - 1, -1):
         layer = net.hidden[li]
-        blocks += layer.blocks[first if li == lowest else 0:]
+        for bi in range(first if li == lowest else 0, len(layer.blocks)):
+            blocks[li, bi] = layer.blocks[bi]
         if layer.norm.mode is NormMode.BATCHNORM:
-            norms.append(layer.norm)
+            norms[li] = layer.norm
     output = [(net, "output_weights"), (net, "output_bias")] \
         if selection.include_output else []
-    return ([(b, "weights") for b in blocks] + output[:1]
-            + [(b, "bias") for b in blocks]
-            + [(norm, name) for norm in norms for name in ("scale", "shift")]
-            + output[1:])
-
-
-def _values_of(slots: list) -> list:
-    return [getattr(owner, name) for owner, name in slots]
+    slots = ([(b, "weights") for b in blocks.values()] + output[:1]
+             + [(b, "bias") for b in blocks.values()]
+             + [(norm, name) for norm in norms.values()
+                for name in ("scale", "shift")]
+             + output[1:])
+    return slots, list(blocks), list(norms)
 
 
 def _flat_views(flat: np.ndarray, arrays: list) -> list:
@@ -252,20 +266,30 @@ def _flat_views(flat: np.ndarray, arrays: list) -> list:
     return views
 
 
-def _plan(net: GopNetwork, selection: TrainableSelection, rows: int) -> _Plan:
+def _plan(net: GopNetwork, selection: TrainableSelection, rows: int,
+          bind: bool = False) -> _Plan:
     """The plan of passes over at most ``rows`` rows at a time, with a
-    zeroed flat buffer for the grads in _param_slots order."""
-    slots = _param_slots(net, selection)
-    arrays = _values_of(slots)
+    zeroed flat buffer for the grads in _param_slots order.  With ``bind``
+    the plan also makes the rebinding of _FlatParams: the network holds the
+    new views until finetune hands the caller's arrays back."""
+    slots, block_keys, norm_keys = _param_slots(net, selection)
+    arrays = [getattr(owner, name) for owner, name in slots]
     grad = np.zeros(sum(a.size for a in arrays))
-    view = {(id(owner), name): v
-            for (owner, name), v in zip(slots, _flat_views(grad, arrays))}
-    grads = Gradients(output=(view[id(net), "output_weights"],
-                              view[id(net), "output_bias"])
-                      if selection.include_output else None)
+    n_matrices = len(block_keys) + selection.include_output
+    flat = None
+    if bind:
+        values = np.empty_like(grad)
+        views = _flat_views(values, arrays)
+        for (owner, name), view, array in zip(slots, views, arrays):
+            view[...] = array
+            setattr(owner, name, view)
+        flat = _FlatParams(values, sum(a.size for a in arrays[:n_matrices]),
+                           views[:n_matrices], [None] * len(net.hidden),
+                           [(owner, name, array) for (owner, name), array
+                            in zip(slots, arrays)])
     lowest, first = selection.first_trained(net)
-    flat = [np.empty(max(rows * layer.fan_in * b.width for layer in net.hidden
-                         for b in layer.blocks)) for _ in range(3)]
+    scratch = [np.empty(max(rows * layer.fan_in * b.width for layer in net.hidden
+                            for b in layer.blocks)) for _ in range(3)]
     layers = []
     for li, layer in enumerate(net.hidden):
         norm = layer.norm
@@ -274,6 +298,11 @@ def _plan(net: GopNetwork, selection: TrainableSelection, rows: int) -> _Plan:
                  else list(range(first if li == lowest else 0, len(spans))))
         trained = slice(spans[visit[0]].start, layer.width) if visit else None
         live = trained if norm.mode is NormMode.BATCHNORM else None
+        if bind and live is not None:
+            flat.originals += [(norm, "mean", norm.mean), (norm, "std", norm.std)]
+            stats = np.stack([norm.mean, norm.std])
+            norm.mean, norm.std = stats
+            flat.running[li] = stats[:, live]
         frozen = slice(0, layer.width if live is None else live.start)
         shapes = [(rows, layer.fan_in, b.width) for b in layer.blocks]
         layers.append(_LayerPlan(
@@ -284,18 +313,18 @@ def _plan(net: GopNetwork, selection: TrainableSelection, rows: int) -> _Plan:
             (trained, norm.scale[trained] / norm.std[trained])
             if trained is not None and live is None else None,
             [np.empty(shape) for shape in shapes],
-            [tuple(f[:np.prod(shape)].reshape(shape) for f in flat)
+            [tuple(f[:np.prod(shape)].reshape(shape) for f in scratch)
              for shape in shapes]))
-    for li in range(len(net.hidden) - 1, lowest - 1, -1):  # as backward visits
-        lp, layer = layers[li], net.hidden[li]
-        for bi in lp.visit:
-            block = layer.blocks[bi]
-            grads.blocks[(li, bi)] = (view[id(block), "weights"],
-                                      view[id(block), "bias"])
-        if lp.live is not None:
-            grads.norm[li] = (view[id(layer.norm), "scale"][lp.live],
-                              view[id(layer.norm), "shift"][lp.live])
-    return _Plan(layers, lowest, selection.include_output, grad, grads)
+    views = _flat_views(grad, arrays)
+    biases = views[n_matrices:]
+    norm_grads = biases[len(block_keys):len(block_keys) + 2 * len(norm_keys)]
+    grads = Gradients(
+        dict(zip(block_keys, zip(views, biases))),
+        {li: (dscale[layers[li].live], dshift[layers[li].live])
+         for li, dscale, dshift in zip(norm_keys, norm_grads[::2],
+                                       norm_grads[1::2])},
+        (views[n_matrices - 1], views[-1]) if selection.include_output else None)
+    return _Plan(layers, lowest, selection.include_output, grad, grads, flat)
 
 
 @dataclass
@@ -429,55 +458,6 @@ def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
 # SGD loop
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _FlatParams:
-    """For one finetune call, the arrays it updates rebound to views of one
-    buffer in _param_slots order, and each trained batch-norm layer's running
-    mean and std to the two rows of one [2, width] array."""
-
-    values: np.ndarray
-    previous: np.ndarray | None  # the values before this step, under max-norm
-    n_weights: int               # length of the weight-matrix prefix
-    matrices: list               # (matrix, end of its weights, end of its bias)
-    stats: dict                  # layer index -> [2, width] mean and std
-    originals: list              # (owner, name, the caller's array)
-
-
-def _bind_flat(net: GopNetwork, selection: TrainableSelection,
-               spec: TrainSpec) -> _FlatParams:
-    slots = _param_slots(net, selection)
-    arrays = _values_of(slots)
-    originals = [(owner, name, a) for (owner, name), a in zip(slots, arrays)]
-    values = np.empty(sum(a.size for a in arrays))
-    for (owner, name, array), view in zip(originals, _flat_views(values, arrays)):
-        view[...] = array
-        setattr(owner, name, view)
-    ends = np.cumsum([a.size for a in arrays]).tolist()
-    n_matrices = sum(a.ndim == 2 for a in arrays)
-    n_blocks = n_matrices - selection.include_output
-    # block k's bias is slot n_matrices + k, the output bias the last one
-    bias_ends = ends[n_matrices:n_matrices + n_blocks] + [len(values)]
-    matrices = list(zip(_values_of(slots[:n_matrices]), ends, bias_ends))
-    stats = {}
-    for li in range(selection.first_trained(net)[0], len(net.hidden)):
-        norm = net.hidden[li].norm
-        if norm.mode is NormMode.BATCHNORM:
-            originals += [(norm, "mean", norm.mean), (norm, "std", norm.std)]
-            stats[li] = np.stack([norm.mean, norm.std])
-            norm.mean, norm.std = stats[li]
-    previous = (np.empty_like(values) if isinstance(spec.weight_reg, MaxNorm)
-                else None)
-    return _FlatParams(values, previous, sum(a.size for a in arrays[:n_matrices]),
-                       matrices, stats, originals)
-
-
-def _unbind_flat(flat: _FlatParams) -> None:
-    """Copy the values back into the caller's arrays and rebind them."""
-    for owner, name, array in flat.originals:
-        array[...] = getattr(owner, name)
-        setattr(owner, name, array)
-
-
 def _apply_update(flat: _FlatParams, grad: np.ndarray, lr: float,
                   spec: TrainSpec, epoch: int) -> None:
     """One SGD step over every trained parameter; ``grad`` is consumed."""
@@ -488,20 +468,10 @@ def _apply_update(flat: _FlatParams, grad: np.ndarray, lr: float,
     if decay:
         grad[:head] += decay * values[:head]
     grad *= lr
-    if flat.previous is not None:
-        np.copyto(flat.previous, values)
     values -= grad
-    if flat.previous is None:
-        return
-    for W, weights_end, bias_end in flat.matrices:
-        try:
+    if isinstance(spec.weight_reg, MaxNorm):
+        for W in flat.matrices:
             _project_rows(W, spec.weight_reg.limit, epoch)
-        except NonFiniteLoss:
-            # as when each block is updated and projected in turn: what
-            # follows the failed matrix and its bias keeps its old values
-            values[weights_end:head] = flat.previous[weights_end:head]
-            values[bias_end:] = flat.previous[bias_end:]
-            raise
 
 
 def _project_rows(W: np.ndarray, limit: float, epoch: int) -> None:
@@ -566,35 +536,37 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
              selection: TrainableSelection) -> TrainLog:
     """Mini-batch SGD over the learning-rate schedule.
 
-    Dropout and batch statistics apply during training only; the network is
-    usable for inference at every point after this returns.  A non-finite
+    Dropout and batch statistics apply during training only.  A non-finite
     loss or weight norm, or an epoch that diverges by the DIVERGENCE_RATIO
-    rule, raises NonFiniteLoss.  The per-layer plan (column spans, the
-    frozen columns' normalization, the nodal tensor and grad buffers) and
-    the floating-point error state are set up once per call.  For the call,
-    the trained parameters are views of one flat buffer, updated by one
-    subtraction per step; on return or raise their values go back into the
-    caller's arrays, which the network holds again.  Each epoch gathers its
-    permuted rows once, draws all its dropout masks with one call, in the
-    stream order of per-batch draws, and counts its hits once.
+    rule, raises NonFiniteLoss.  The call is all or nothing: for its length
+    the network holds views of one flat buffer in place of the trained
+    parameters and running statistics, updated by one subtraction per step,
+    and the caller's arrays sit untouched.  A return copies the values into
+    them; after a raise they keep their pre-call bytes.  Either way the
+    network holds them again.  The per-layer plan (column spans, the frozen
+    columns' normalization, the nodal tensor and grad buffers) and the
+    floating-point error state are set up once per call.  Each epoch gathers
+    its permuted rows once, draws all its dropout masks with one call, in
+    the stream order of per-batch draws, and counts its hits once.
     """
     spec.validate()
     selection.validate(net)
     X, Y = data_train
     X = net.hidden[0].blocks[0]._checked(X)
-    flat = _bind_flat(net, selection, spec)
+    plan = _plan(net, selection, min(spec.batch_size, len(X)), bind=True)
     try:
-        return _sgd(net, X, Y, data_val, spec, selection, flat)
+        log = _sgd(net, X, Y, data_val, spec, plan)
+        for owner, name, array in plan.flat.originals:
+            array[...] = getattr(owner, name)
+        return log
     finally:
-        _unbind_flat(flat)
+        for owner, name, array in plan.flat.originals:
+            setattr(owner, name, array)
 
 
 def _sgd(net: GopNetwork, X: np.ndarray, Y, data_val, spec: TrainSpec,
-         selection: TrainableSelection, flat: _FlatParams) -> TrainLog:
+         plan: _Plan) -> TrainLog:
     n = X.shape[0]
-    plan = _plan(net, selection, min(spec.batch_size, n))
-    running = [flat.stats[li][:, lp.live] if lp.live is not None else None
-               for li, lp in enumerate(plan.layers)]
     Y = np.asarray(Y, dtype=float)
     labels = Y.argmax(axis=1)
     bounds, draws, masks, thresholds = _epoch_layout(net, n, spec)
@@ -631,8 +603,8 @@ def _sgd(net: GopNetwork, X: np.ndarray, Y, data_val, spec: TrainSpec,
                                                         DIVERGENCE_FLOOR)
                 loss_sum += batch_loss * (stop - start)
                 _backward_from_caches(net, caches, dP, plan)
-                _apply_update(flat, plan.grad, lr, spec, epoch_index)
-                _update_running_stats(caches, running)
+                _apply_update(plan.flat, plan.grad, lr, spec, epoch_index)
+                _update_running_stats(caches, plan.flat.running)
             hits = int((P_epoch.argmax(axis=1) == labels_epoch).sum())
             train_loss = loss_sum / n
             diverged = train_loss > loss_limit

@@ -276,6 +276,32 @@ class TestTrain:
         path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("extra, named", [
+        (["--set", "train.batchsize=64"], "train.batchsize: unknown key"),
+        (["--set", "progresion.max_layers=3"], "progresion: unknown key"),
+        (["--set", "train.weight_reg.kind=decay",
+          "--set", "train.weight_reg.valu=0.1"],
+         "train.weight_reg.valu: unknown key"),
+        (["--set", 'train.weight_reg={"kind":"none","valu":1}'],
+         "train.weight_reg.valu: unknown key"),
+    ])
+    def test_unknown_key_exits_2_naming_its_path(self, tmp_path, run_config,
+                                                 capsys, extra, named):
+        out = str(tmp_path / "bad")
+        assert main(fast_train_args(run_config, out, extra)) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not os.path.exists(out)
+
+    def test_the_default_config_parses(self):
+        config = {**DEFAULT_CONFIG,
+                  "dataset": {**DEFAULT_CONFIG["dataset"], "path": "d.csv"}}
+        run = cli.parse_run_config(config)
+        assert run.train == TrainSpec(seed=DEFAULT_CONFIG["seed"])
+        # kind "none" merged over the default keeps the default's value
+        none = cli._merge(config, {"train": {"weight_reg": {"kind": "none"}}})
+        assert none["train"]["weight_reg"] == {"kind": "none", "value": 2.0}
+        assert cli.parse_run_config(none).train.weight_reg is None
+
 
 def config_items(node=DEFAULT_CONFIG, prefix=""):
     """(dotted key, default) of every section and key of the config."""

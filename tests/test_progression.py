@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -70,6 +71,35 @@ def diverge_step(monkeypatch, seed, layer, step):
             raise NonFiniteLoss("diverged", epoch=0)
         return finetune(net, data_train, data_val, spec, selection)
     monkeypatch.setattr(progression, "finetune", fake)
+
+
+def final_finetune_as(monkeypatch, final_seed, final):
+    """Route the finetune whose spec seed is ``final_seed`` to ``final``."""
+    import gopnet.progression as progression
+
+    def fake(net, data_train, data_val, spec, selection):
+        train = final if spec.seed == final_seed else finetune
+        return train(net, data_train, data_val, spec, selection)
+    monkeypatch.setattr(progression, "finetune", fake)
+
+
+def poisoned_finetune(spec):
+    """The real finetune under ``spec``, on the training targets with the
+    last row scaled by 1e200: the loss of the batch that draws it overflows,
+    after earlier batches have updated the network."""
+    def train(net, data_train, data_val, _, selection):
+        X, Y = data_train
+        Y = Y.copy()
+        Y[-1] *= 1e200
+        with pytest.raises(NonFiniteLoss,
+                           match="non-finite training loss at epoch 0") as raised:
+            finetune(net, (X, Y), data_val, spec, selection)
+        raise raised.value
+    return train
+
+
+def skipped_finetune(*args):
+    return TrainLog()
 
 
 def blob_dataset(seed=0, n=160, val=True, separation=8.0):
@@ -518,6 +548,18 @@ class TestGrowthStopping:
         assert len(causes) == 1
         assert causes[0].startswith("training diverged at epoch 0")
 
+    def test_diverged_final_finetune_hands_back_the_grown_network(
+            self, monkeypatch):
+        ds, config = blob_dataset(seed=6), fast_config(seed=6, max_layers=1)
+        final_seed = derive_seed(config.seed, 2)
+        final_finetune_as(monkeypatch, final_seed,
+                          poisoned_finetune(replace(FAST_SPEC, seed=0)))
+        net, report = run_progression(ds, config)
+        final_finetune_as(monkeypatch, final_seed, skipped_finetune)
+        skipped, _ = run_progression(ds, config)
+        assert report.final_finetune_diverged
+        assert net.to_json() == skipped.to_json()
+
     def test_noise_labels_stop_well_before_cap(self):
         widths = []
         for seed in range(5):
@@ -715,28 +757,36 @@ class TestPopBaseline:
         assert len(net.hidden) == 2
 
     def test_diverged_final_finetune_keeps_searched_network(self, monkeypatch):
-        import gopnet.progression as progression
-
         def run(final):
-            def fake(net, data_train, data_val, spec, selection):
-                if spec.seed == derive_seed(5, 10_000):
-                    return final(net)
-                return finetune(net, data_train, data_val, spec, selection)
-            monkeypatch.setattr(progression, "finetune", fake)
+            final_finetune_as(monkeypatch, derive_seed(5, 10_000), final)
             return run_pmlp_baseline(tiny_pop_dataset(), [3], target_mse=0.0,
                                      epochs=1, train_spec=TINY_SPEC, seed=5)
 
-        def diverge(net):
-            net.hidden[0].blocks[0].weights[:] = np.nan
-            raise NonFiniteLoss("diverged", epoch=0)
-
-        net, report = run(diverge)
-        skipped, _ = run(lambda net: TrainLog())
+        net, report = run(poisoned_finetune(replace(TINY_SPEC, seed=1)))
+        skipped, _ = run(skipped_finetune)
         assert report.final_finetune_diverged
         assert report.to_dict()["final_finetune_diverged"] is True
         assert net.to_json() == skipped.to_json()
         assert report.train_logs == []
         assert np.isfinite(report.final_metrics["train"]["loss"])
+
+    def test_a_diverged_candidate_is_its_seeded_initialization(
+            self, monkeypatch):
+        """_train_shln scores a candidate whose finetune raises inf, and
+        hands back its network as initialized: the same call with the
+        finetune skipped."""
+        import gopnet.progression as progression
+
+        X, y = gaussian_blobs(n=40, separation=6.0, seed=7)
+        Y = one_hot(y, 2)
+        poisoned = Y.copy()
+        poisoned[-1] *= 1e200
+        args = (3, PERCEPTRON_SET, PERCEPTRON_SET, 2, TINY_SPEC, 0)
+        net, mse = progression._train_shln(X, poisoned, *args)
+        monkeypatch.setattr(progression, "finetune", skipped_finetune)
+        initial, _ = progression._train_shln(X, Y, *args)
+        assert mse == float("inf")
+        assert net.to_json() == initial.to_json()
 
     def test_gis_searches_output_then_hidden_operator_per_pass(self):
         library = [OperatorSet.from_index(i) for i in (0, 17, 101)]
