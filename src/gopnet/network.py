@@ -16,18 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, FormatError, UnfitNormalization
-from .operators import (
-    STD_FLOOR,
-    OperatorSet,
-    PoolOp,
-    activation_forward,
-    activation_grad,
-    neuron_flops,
-    nodal_forward,
-    nodal_grad,
-    pool_forward_batch,
-    pool_grad_batch,
-)
+from .operators import STD_FLOOR, OperatorSet, PoolOp, neuron_flops
 
 MODEL_FORMAT_VERSION = 1
 
@@ -82,10 +71,15 @@ class NeuronBlock:
         output [N, width] for a batch of inputs."""
         return self._parts(self._checked(inputs))
 
-    def _parts(self, inputs: np.ndarray, Z_out: np.ndarray | None = None):
-        Z = nodal_forward(self.op_set.nodal, self.weights[None], inputs[:, :, None], Z_out)
-        x = pool_forward_batch(self.op_set.pool, Z) + self.bias
-        return Z, x, activation_forward(self.op_set.activation, x)
+    def _parts(self, inputs: np.ndarray, Z_out: np.ndarray | None = None,
+               x_out: np.ndarray | None = None):
+        """``forward_parts`` over checked inputs, the nodal tensor written
+        into ``Z_out`` and the pre-activation into ``x_out`` when given."""
+        k = self.op_set.kernels
+        Z = k.nodal(self.weights[None], inputs[:, :, None], Z_out)
+        x = k.pool(Z, out=x_out)
+        np.add(x, self.bias, out=x)
+        return Z, x, k.activation(x)
 
     def forward(self, inputs: np.ndarray, activate: bool = True,
                 out: np.ndarray | None = None) -> np.ndarray:
@@ -100,16 +94,16 @@ class NeuronBlock:
         without activation).
         """
         inputs = self._checked(inputs)
+        k = self.op_set.kernels
         rows = max(1, FORWARD_CHUNK_BYTES // (8 * self.fan_in * self.width))
         Z = np.empty((min(rows, len(inputs)), self.fan_in, self.width))
         x = np.empty((len(inputs), self.width)) if out is None else out
         for start in range(0, len(inputs), rows):
             chunk = inputs[start:start + rows, :, None]
-            Z_chunk = nodal_forward(self.op_set.nodal, self.weights[None], chunk,
-                                    Z[:len(chunk)])
-            x[start:start + rows] = pool_forward_batch(self.op_set.pool, Z_chunk)
+            k.pool(k.nodal(self.weights[None], chunk, Z[:len(chunk)]),
+                   out=x[start:start + rows])
         x += self.bias
-        return activation_forward(self.op_set.activation, x) if activate else x
+        return k.activation(x) if activate else x
 
     def backward(self, inputs: np.ndarray, Z: np.ndarray, x: np.ndarray,
                  dh: np.ndarray, want_inputs: bool, scratch=None, out=None):
@@ -122,16 +116,18 @@ class NeuronBlock:
         None)."""
         G, S, T = scratch if scratch is not None else (
             np.empty_like(Z) for _ in range(3))
-        dx = dh * activation_grad(self.op_set.activation, x)
+        k = self.op_set.kernels
+        dx = np.multiply(dh, k.activation_grad(x))
         dZ = dx[:, None, :]
         if self.op_set.pool is not PoolOp.SUMMATION:  # its grad is all ones
-            dZ = np.multiply(dZ, pool_grad_batch(self.op_set.pool, Z, G, T), out=G)
-        gw, gy = nodal_grad(self.op_set.nodal, self.weights[None, :, :],
-                            inputs[:, :, None], want_inputs, (Z, S, T))
+            dZ = np.multiply(dZ, k.pool_grad(Z, G, T), out=G)
+        gw, gy = k.nodal_grad(self.weights[None], inputs[:, :, None], Z,
+                              S if want_inputs else None, T)
         dW, dbias = out if out is not None else (None, None)
-        dW = np.multiply(dZ, gw, out=Z).sum(axis=0, out=dW)
-        dbias = dx.sum(axis=0, out=dbias)
-        dinputs = np.multiply(dZ, gy, out=Z).sum(axis=2) if want_inputs else None
+        dW = np.add.reduce(np.multiply(dZ, gw, out=Z), axis=0, out=dW)
+        dbias = np.add.reduce(dx, axis=0, out=dbias)
+        dinputs = (np.add.reduce(np.multiply(dZ, gy, out=Z), axis=2)
+                   if want_inputs else None)
         return dW, dbias, dinputs
 
     def n_params(self) -> int:
@@ -222,6 +218,8 @@ class GopLayer:
         return slice(start, start + self.blocks[block_index].width)
 
     def raw_forward(self, inputs: np.ndarray) -> np.ndarray:
+        if len(self.blocks) == 1:
+            return self.blocks[0].forward(inputs)
         return np.concatenate([b.forward(inputs) for b in self.blocks], axis=1)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -258,13 +256,17 @@ class GopNetwork:
     def n_classes(self) -> int:
         return self.output_bias.shape[0]
 
-    def hidden_forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Output of the last hidden layer, [N, last_width]."""
+    def checked_inputs(self, inputs) -> np.ndarray:
+        """``inputs`` as a float array, DimensionMismatch unless [N, input_dim]."""
         inputs = np.asarray(inputs, dtype=float)
         if inputs.ndim != 2 or inputs.shape[1] != self.input_dim:
             raise DimensionMismatch(
                 f"network expects [N, {self.input_dim}] inputs, got {inputs.shape}")
-        h = inputs
+        return inputs
+
+    def hidden_forward(self, inputs: np.ndarray) -> np.ndarray:
+        """Output of the last hidden layer, [N, last_width]."""
+        h = self.checked_inputs(inputs)
         for layer in self.hidden:
             h = layer.forward(h)
         return h

@@ -5,15 +5,18 @@ Each operator family is one private table keyed by its enum (``_NODAL``,
 analytic derivative for the gradient trainer and its inference FLOPs, so
 each operator is defined in one table entry.  The public functions
 (``nodal_forward``, ``pool_grad_batch``, ``neuron_flops`` ...) are one-line
-lookups into these tables.  Forwards are elementwise/broadcasting numpy
-operations, so the same code path serves scalar probes and batched tensors.
+lookups into these tables; ``OperatorSet.kernels`` resolves a set's six
+entries once, for callers in hot loops that call them directly.  Forwards
+are elementwise/broadcasting numpy operations, so the same code path serves
+scalar probes and batched tensors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,12 @@ EXP_CLAMP = 50.0
 # Floor applied to standard deviations wherever features are normalized:
 # hidden layers and the input standardization.
 STD_FLOOR = 1e-6
+
+# The ufunc np.clip reaches through three Python frames; its bits are np.clip's.
+try:
+    _clip = np._core.umath.clip
+except AttributeError:  # numpy < 2
+    _clip = np.core.umath.clip
 
 
 class NodalOp(Enum):
@@ -114,6 +123,16 @@ class OperatorSet:
     def __str__(self) -> str:
         return f"({self.nodal.value}, {self.pool.value}, {self.activation.value})"
 
+    @cached_property
+    def kernels(self) -> "Kernels":
+        """The set's forwards and grads from the operator tables, looked up
+        once per set: calling them skips the public lookups' dict lookup by
+        enum and their ``np.asarray`` (callers pass float arrays)."""
+        nodal, pool = _NODAL[self.nodal], _POOL[self.pool]
+        activation = _ACTIVATION[self.activation]
+        return Kernels(nodal.forward, nodal.grad, pool.forward, pool.grad,
+                       activation.forward, activation.grad)
+
 
 PERCEPTRON_SET = OperatorSet(NodalOp.MULTIPLICATION, PoolOp.SUMMATION, ActivationOp.SIGMOID)
 
@@ -135,6 +154,17 @@ class _Op:
     forward: Callable
     grad: Callable
     flops: int | Callable[[int], int]  # pools: a function of fan-in
+
+
+class Kernels(NamedTuple):
+    """One operator set's table entries, with the signatures of the tables."""
+
+    nodal: Callable
+    nodal_grad: Callable
+    pool: Callable
+    pool_grad: Callable
+    activation: Callable
+    activation_grad: Callable
 
 
 # Nodal operators: z = psi(y, w), elementwise over broadcast w and y.
@@ -163,7 +193,7 @@ def _multiplication_grad(w, y, gw, gy, t):
 
 def _exponential(w, y, out=None):
     z = _product(w, y, out)
-    np.clip(z, -EXP_CLAMP, EXP_CLAMP, out=z)
+    _clip(z, -EXP_CLAMP, EXP_CLAMP, out=z)
     np.exp(z, out=z)
     return np.subtract(z, 1.0, out=z)
 
@@ -173,7 +203,7 @@ def _exponential_grad(w, y, gw, gy, t):
     # live = (|w * y| < EXP_CLAMP) as 1.0 or 0.0
     e = gw if gy is None else gy
     u = np.multiply(w, y, out=t)
-    np.clip(u, -EXP_CLAMP, EXP_CLAMP, out=e)
+    _clip(u, -EXP_CLAMP, EXP_CLAMP, out=e)
     np.exp(e, out=e)
     live = np.less(np.abs(u, out=u), EXP_CLAMP, out=u)
     np.multiply(np.multiply(y, e, out=gw), live, out=gw)
@@ -264,24 +294,32 @@ _NODAL = {
 
 
 # Pooling operators over the fan-in axis of [N, fan_in, width] nodal outputs.
-# Grads write the elementwise gradient, same shape as Z, into ``out`` and may
-# use ``t``, a Z-shaped scratch array; maximum routes its subgradient to the
-# first maximal index along fan-in.  The k-correlation pool sums the products
-# of k + 1 adjacent entries, an empty sum when fan-in is <= k.
+# Forwards write the [N, width] result into ``out`` when given, else into a
+# fresh array; from a C-ordered Z, as nodal forwards make it, an ``out`` of
+# either order gets the fresh result's bits.  Summation and maximum are the
+# reductions ``.sum(axis=1)`` and ``.max(axis=1)`` call, without their
+# Python frames.  Grads write the elementwise gradient, same shape as Z, into
+# ``out`` and may use ``t``, a Z-shaped scratch array; maximum routes its
+# subgradient to the first maximal index along fan-in.  The k-correlation
+# pool sums the products of k + 1 adjacent entries, an empty sum when fan-in
+# is <= k.
 
 def _correlation(k: int) -> _Op:
     def views(Z):
         n = Z.shape[1] - k
         return [Z[:, j:n + j, :] for j in range(k + 1)]
 
-    def forward(Z):
+    def forward(Z, out=None):
         if Z.shape[1] <= k:
-            return np.zeros((Z.shape[0], Z.shape[2]))
+            if out is None:
+                return np.zeros((Z.shape[0], Z.shape[2]))
+            out.fill(0.0)
+            return out
         first, second, *rest = views(Z)
         p = first * second
         for v in rest:
             np.multiply(p, v, out=p)
-        return p.sum(axis=1)
+        return np.add.reduce(p, axis=1, out=out)
 
     def grad(Z, out, t):
         # out[:, j:n + j] += the product of every view but the j-th, from zero
@@ -310,11 +348,11 @@ def _maximum_grad(Z, out, t):
 
 
 _POOL = {
-    PoolOp.SUMMATION: _Op(lambda Z: Z.sum(axis=1), _summation_grad,
+    PoolOp.SUMMATION: _Op(partial(np.add.reduce, axis=1), _summation_grad,
                           lambda n: max(n - 1, 0)),
     PoolOp.CORRELATION1: _correlation(1),  # n - 1 products, n - 2 adds
     PoolOp.CORRELATION2: _correlation(2),  # 2(n - 2) products, n - 3 adds
-    PoolOp.MAXIMUM: _Op(lambda Z: Z.max(axis=1), _maximum_grad,
+    PoolOp.MAXIMUM: _Op(partial(np.maximum.reduce, axis=1), _maximum_grad,
                         lambda n: max(n - 1, 0)),
 }
 
@@ -352,7 +390,7 @@ def _inverse_absolute_grad(x):
 _ACTIVATION = {
     ActivationOp.SIGMOID: _Op(_sigmoid, _sigmoid_grad, 4),
     ActivationOp.TANH: _Op(np.tanh, _tanh_grad, 4),
-    ActivationOp.RELU: _Op(lambda x: np.maximum(0.0, x),
+    ActivationOp.RELU: _Op(partial(np.maximum, 0.0),
                            lambda x: (x > 0).astype(float), 1),
     ActivationOp.SOFTPLUS: _Op(_softplus, lambda x: -_sigmoid(-x), 9),  # exp + add + log
     ActivationOp.INVERSE_ABSOLUTE: _Op(lambda x: x / (1.0 + np.abs(x)),

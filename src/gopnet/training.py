@@ -7,12 +7,19 @@ by a TrainableSelection are updated; everything else is left bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteLoss, UnfitNormalization
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    EmptyInput,
+    NonFiniteLoss,
+    UnfitNormalization,
+)
 from .network import GopLayer, GopNetwork, NormMode
 
 BN_MOMENTUM = 0.9
@@ -24,6 +31,12 @@ BN_EPS = 1e-5
 # floored at DIVERGENCE_FLOOR.
 DIVERGENCE_RATIO = 1e3
 DIVERGENCE_FLOOR = 1e-3
+
+# Byte budget of one run of dropout draws in finetune: an epoch draws its
+# masks in runs of whole batches that fit it (at least one batch), so the
+# draw buffer is bounded in N.  Like FORWARD_CHUNK_BYTES it stays below
+# glibc's default 128 KiB mmap threshold.
+DROPOUT_RUN_BYTES = 120 * 1024
 
 
 class LossKind(Enum):
@@ -154,31 +167,75 @@ class TrainLog:
 # Loss heads
 # ---------------------------------------------------------------------------
 
-def loss_and_grad(P: np.ndarray, Y: np.ndarray, loss: LossKind):
+def _loss(P: np.ndarray, Y: np.ndarray, loss: LossKind, t: np.ndarray,
+          dP: np.ndarray | None = None) -> float:
+    """The loss of P against Y, with ``t``, P-shaped, as scratch (it may be
+    P itself when P is not read again); with ``dP``, P-shaped, also the
+    gradient, written there."""
+    n = len(P)
     if loss is LossKind.MSE:
-        diff = P - Y
-        mse = np.add.reduce(diff * diff, axis=None) / diff.size  # as np.mean does it
-        return float(mse), (2.0 / diff.size) * diff
-    shifted = P - P.max(axis=1, keepdims=True)
-    expP = np.exp(shifted)
-    probs = expP / expP.sum(axis=1, keepdims=True)
-    n = P.shape[0]
-    value = float(-np.sum(Y * (shifted - np.log(expP.sum(axis=1, keepdims=True)))) / n)
-    return value, (probs - Y) / n
+        diff = np.subtract(P, Y, out=t if dP is None else dP)
+        # as np.mean does it
+        mse = np.add.reduce(np.multiply(diff, diff, out=t), axis=None) / diff.size
+        if dP is not None:
+            np.multiply(2.0 / diff.size, diff, out=dP)
+        return float(mse)
+    m = np.maximum.reduce(P, axis=1, keepdims=True)
+    shifted = np.subtract(P, m, out=t)
+    expP = np.exp(shifted, out=dP)
+    s = np.add.reduce(expP, axis=1, keepdims=True)
+    log_s = np.log(s, out=m)
+    total = np.add.reduce(np.multiply(Y, np.subtract(shifted, log_s, out=t),
+                                      out=t), axis=None)
+    if dP is not None:  # (softmax(P) - Y) / n
+        np.divide(expP, s, out=dP)
+        np.subtract(dP, Y, out=dP)
+        np.divide(dP, n, out=dP)
+    return float(-total / n)
+
+
+def loss_and_grad(P: np.ndarray, Y: np.ndarray, loss: LossKind):
+    """(loss, dP): the loss of P against Y and its gradient w.r.t. P."""
+    P = np.asarray(P, dtype=float)
+    dP = np.empty(P.shape)
+    return _loss(P, Y, loss, np.empty(P.shape), dP), dP
+
+
+def _checked_targets(net: GopNetwork, X, Y, name: str = "data"):
+    """(inputs, targets) as float arrays: [N, input_dim] and [N, C] with
+    N >= 1, else DimensionMismatch or EmptyInput naming ``name``."""
+    X = net.checked_inputs(X)
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape != (len(X), net.n_classes):
+        raise DimensionMismatch(
+            f"{name}: targets must be [N, C] = [{len(X)}, {net.n_classes}] "
+            f"for {len(X)} input rows and {net.n_classes} classes, got "
+            f"{Y.shape}")
+    if len(X) == 0:
+        raise EmptyInput(f"{name}: no rows")
+    return X, Y
+
+
+def _metrics(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
+             labels: np.ndarray, loss: LossKind):
+    """(loss, accuracy) of checked inputs and targets with ``labels``, Y's
+    row argmax: no loss gradient, no check."""
+    P = net.forward(X)
+    accuracy = int(np.count_nonzero(P.argmax(axis=1) == labels)) / len(P)
+    return _loss(P, Y, loss, P), accuracy
 
 
 def evaluate_metrics(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
                      loss: LossKind = LossKind.MSE):
     """(loss, accuracy) of the network in inference mode.
 
-    Operator arithmetic saturates rather than warns; a non-finite loss is
-    reported as-is.
+    X must be [N, input_dim] and Y [N, C] with N >= 1 (DimensionMismatch,
+    EmptyInput).  Operator arithmetic saturates rather than warns; a
+    non-finite loss is reported as-is.
     """
+    X, Y = _checked_targets(net, X, Y)
     with np.errstate(over="ignore", invalid="ignore"):
-        P = net.forward(X)
-        value, _ = loss_and_grad(P, Y, loss)
-        accuracy = float(np.mean(P.argmax(axis=1) == Y.argmax(axis=1)))
-    return value, accuracy
+        return _metrics(net, X, Y, Y.argmax(axis=1), loss)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +243,43 @@ def evaluate_metrics(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass
+class _BatchNorm:
+    """A layer's batch-norm buffers over its n_live live columns.  They are
+    F-ordered, so axis-0 sums over a batch's first rows run pairwise, as
+    over a boolean-mask gather; a C-ordered array sums row by row, which
+    would move the batch statistics in their last bits."""
+
+    n_live: int
+    h: np.ndarray               # [rows, n_live] raw outputs, then squares
+    xhat: np.ndarray            # [rows, n_live] centered, then normalized
+    stats: np.ndarray           # [2, n_live]: the batch mean, then sigma
+    stack: np.ndarray           # [rows, 4 * n_live]: dxhat * xhat, dxhat,
+                                # d_live * xhat, d_live
+    sums: np.ndarray            # [4 * n_live]: the column sums of stack
+    means: np.ndarray           # [2 * n_live] view: the first two sums
+    grad_sums: np.ndarray       # [2, n_live] view: the last two sums
+    grads: np.ndarray           # [2, n_live] flat grad view: dscale, dshift
+
+    @classmethod
+    def new(cls, rows: int, n_live: int, grads: np.ndarray) -> "_BatchNorm":
+        sums = np.empty(4 * n_live)
+        return cls(n_live, np.empty((rows, n_live), order="F"),
+                   np.empty((rows, n_live), order="F"), np.empty((2, n_live)),
+                   np.empty((rows, 4 * n_live), order="F"), sums,
+                   sums[:2 * n_live], sums[2 * n_live:].reshape(2, n_live),
+                   grads)
+
+
+@dataclass
 class _LayerPlan:
-    """One layer's constants over the training-mode passes of one call: only
-    live columns and trained blocks change, so frozen columns are fixed.
-    A layer's trained blocks run from its first trained block to its end, so
-    its trained columns are one suffix span and its frozen ones one prefix.
-    Norm arrays are views of the layer's, which updates change in place."""
+    """One layer's constants and buffers over the training-mode passes of
+    one call: only live columns and trained blocks change, so frozen
+    columns are fixed.  A layer's trained blocks run from its first trained
+    block to its end, so its trained columns are one suffix span and its
+    frozen ones one prefix.  Norm arrays are views of the layer's, which
+    updates change in place.  Buffers hold ``rows`` rows; a pass over n
+    rows uses the first n.  ``inputs`` and ``mask`` are the last forward's,
+    which the backward reads."""
 
     spans: list                 # column slice of each block
     visit: list                 # trained block indices, which backward visits
@@ -200,7 +288,15 @@ class _LayerPlan:
     frozen: tuple | None        # (span, scale, mean, std, shift) of frozen columns
     frozen_gain: tuple | None   # (span, scale / std) of trained standardized columns
     Z: list                     # per block, a [rows, fan_in, width] buffer
+    x: list                     # per block, a [rows, width] pre-activation buffer
     scratch: list               # per block, three more, shared by every block
+    H: np.ndarray               # [rows, width] raw outputs of several blocks
+    out: np.ndarray             # [rows, width] output after norm and dropout
+    dA: np.ndarray              # [rows, width] loss grad w.r.t. out
+    dH: np.ndarray              # [rows, width] loss grad w.r.t. the raw output
+    bn: _BatchNorm | None       # buffers of the live columns, if any
+    inputs: np.ndarray | None = None  # layer input after any upstream dropout
+    mask: np.ndarray | None = None    # dropout mask of the output, if any
 
 
 @dataclass
@@ -224,15 +320,18 @@ class _Plan:
     grad: np.ndarray            # flat, in _param_slots order
     grads: Gradients            # views of grad
     flat: _FlatParams | None    # the rebinding, if the plan made one
+    masked: np.ndarray          # [rows, input_dim] inputs after dropout
+    t: np.ndarray               # [rows, C] loss scratch
+    dP: np.ndarray              # [rows, C] loss grad w.r.t. the head's output
 
 
 def _param_slots(net: GopNetwork, selection: TrainableSelection):
     """(owner, name) of every array finetune updates, in flat-buffer order,
     and the keys of the trained blocks, (layer, block), and of the trained
-    batch-norm layers in that order.  The order: the weight matrices first (trained blocks from the top layer down, in block
-    order within a layer, then the output map), then the block biases in
-    the same order, each trained batch-norm layer's scale and shift, and
-    the output bias.  The frozen prefix of the lowest layer's scale and
+    batch-norm layers in that order.  The order: the weight matrices first
+    (trained blocks from the top layer down, in block order within a layer,
+    then the output map), then the block biases in the same order, each
+    trained batch-norm layer's scale and shift, and the output bias.  The frozen prefix of the lowest layer's scale and
     shift rides along with a zero gradient, so its bits never change."""
     for li, layer in enumerate(net.hidden):
         if not layer.norm.fitted:
@@ -287,6 +386,15 @@ def _plan(net: GopNetwork, selection: TrainableSelection, rows: int,
                            views[:n_matrices], [None] * len(net.hidden),
                            [(owner, name, array) for (owner, name), array
                             in zip(slots, arrays)])
+    views = _flat_views(grad, arrays)
+    biases = views[n_matrices:]
+    # each trained batch-norm layer's (dscale, dshift) as one [2, width] view
+    norm_start = sum(a.size for a in arrays[:n_matrices + len(block_keys)])
+    norm_grads = {}
+    for li in norm_keys:
+        width = net.hidden[li].width
+        norm_grads[li] = grad[norm_start:norm_start + 2 * width].reshape(2, width)
+        norm_start += 2 * width
     lowest, first = selection.first_trained(net)
     scratch = [np.empty(max(rows * layer.fan_in * b.width for layer in net.hidden
                             for b in layer.blocks)) for _ in range(3)]
@@ -305,6 +413,8 @@ def _plan(net: GopNetwork, selection: TrainableSelection, rows: int,
             flat.running[li] = stats[:, live]
         frozen = slice(0, layer.width if live is None else live.start)
         shapes = [(rows, layer.fan_in, b.width) for b in layer.blocks]
+        bn = None if live is None else _BatchNorm.new(
+            rows, live.stop - live.start, norm_grads[li][:, live])
         layers.append(_LayerPlan(
             spans, visit, live,
             None if live is None else (norm.scale[live], norm.shift[live]),
@@ -313,76 +423,66 @@ def _plan(net: GopNetwork, selection: TrainableSelection, rows: int,
             (trained, norm.scale[trained] / norm.std[trained])
             if trained is not None and live is None else None,
             [np.empty(shape) for shape in shapes],
+            [np.empty((rows, b.width)) for b in layer.blocks],
             [tuple(f[:np.prod(shape)].reshape(shape) for f in scratch)
-             for shape in shapes]))
-    views = _flat_views(grad, arrays)
-    biases = views[n_matrices:]
-    norm_grads = biases[len(block_keys):len(block_keys) + 2 * len(norm_keys)]
+             for shape in shapes],
+            *(np.empty((rows, layer.width)) for _ in range(4)), bn))
     grads = Gradients(
         dict(zip(block_keys, zip(views, biases))),
-        {li: (dscale[layers[li].live], dshift[layers[li].live])
-         for li, dscale, dshift in zip(norm_keys, norm_grads[::2],
-                                       norm_grads[1::2])},
+        {li: tuple(layers[li].bn.grads) for li in norm_keys},
         (views[n_matrices - 1], views[-1]) if selection.include_output else None)
-    return _Plan(layers, lowest, selection.include_output, grad, grads, flat)
-
-
-@dataclass
-class _LayerCache:
-    inputs: np.ndarray          # layer input after any upstream dropout
-    Z: tuple                    # per block, [N, fan_in, width] plan buffer views
-    x: tuple                    # per block pre-activation, [N, width]
-    xhat: np.ndarray | None     # [N, n_live]
-    batch_stats: np.ndarray | None  # [2, n_live]: batch mean, then sigma
-    a: np.ndarray               # output after normalization and any dropout
-    drop_mask: np.ndarray | None
+    return _Plan(layers, lowest, selection.include_output, grad, grads, flat,
+                 np.empty((rows, net.input_dim)),
+                 *(np.empty((rows, net.n_classes)) for _ in range(2)))
 
 
 def _forward_train(net: GopNetwork, X: np.ndarray, plan: _Plan,
                    input_mask: np.ndarray | None = None,
                    hidden_masks: list | None = None,
-                   P_out: np.ndarray | None = None):
-    """Forward pass over checked inputs capturing intermediates for backward.
+                   P_out: np.ndarray | None = None) -> np.ndarray:
+    """Forward pass over checked inputs, leaving in the plan what backward
+    reads.
 
     Dropout multiplies the inputs by ``input_mask`` and each layer's output
     by its entry of ``hidden_masks``, inverted-scaled masks; without them
     the pass is a pure function of (net, X, plan).  The output map's result
     is written into ``P_out`` if given.
     """
-    a = X if input_mask is None else X * input_mask
-    caches = []
+    n = len(X)
+    a = X if input_mask is None else np.multiply(X, input_mask,
+                                                 out=plan.masked[:n])
     for li, (layer, lp) in enumerate(zip(net.hidden, plan.layers)):
-        inputs = a
-        Zs, xs, hs = zip(*(block._parts(inputs, Z[:len(inputs)])
-                           for block, Z in zip(layer.blocks, lp.Z)))
-        H_raw = hs[0] if len(hs) == 1 else np.concatenate(hs, axis=1)
-        out = np.empty_like(H_raw)
+        lp.inputs = a
+        hs = [block._parts(a, Z[:n], x[:n])[2]
+              for block, Z, x in zip(layer.blocks, lp.Z, lp.x)]
+        H_raw = hs[0] if len(hs) == 1 else np.concatenate(hs, axis=1,
+                                                          out=lp.H[:n])
+        out = lp.out[:n]
         if lp.frozen is not None:
             sp, scale, mean, std, shift = lp.frozen
-            out[:, sp] = scale * (H_raw[:, sp] - mean) / std + shift
-        xhat = batch_stats = None
+            o = np.subtract(H_raw[:, sp], mean, out=out[:, sp])
+            np.multiply(scale, o, out=o)
+            np.divide(o, std, out=o)
+            np.add(o, shift, out=o)
         if lp.live is not None:
-            # an F-ordered copy, as a boolean-mask gather makes: its axis-0
-            # sums run pairwise, where a C-ordered one sums row by row and
-            # would move the batch statistics in their last bits
-            h_live = np.asfortranarray(H_raw[:, lp.live])
-            n = len(h_live)
-            batch_stats = np.empty((2, h_live.shape[1]))
-            batch_mean, sigma = batch_stats
             # h.mean(axis=0) and h.var(axis=0) as numpy computes them
-            np.divide(np.add.reduce(h_live, axis=0), n, out=batch_mean)
-            centered = h_live - batch_mean
-            np.sqrt(np.add.reduce(centered * centered, axis=0) / n + BN_EPS,
-                    out=sigma)
-            xhat = centered / sigma
+            bn = lp.bn
+            h = bn.h[:n]
+            h[...] = H_raw[:, lp.live]
+            batch_mean, sigma = bn.stats
+            np.divide(np.add.reduce(h, axis=0, out=batch_mean), n, out=batch_mean)
+            xhat = np.subtract(h, batch_mean, out=bn.xhat[:n])
+            np.add.reduce(np.multiply(xhat, xhat, out=h), axis=0, out=sigma)
+            np.divide(sigma, n, out=sigma)
+            np.sqrt(np.add(sigma, BN_EPS, out=sigma), out=sigma)
+            np.divide(xhat, sigma, out=xhat)
             scale, shift = lp.live_norm
-            out[:, lp.live] = scale * xhat + shift
-        drop_mask = None if hidden_masks is None else hidden_masks[li]
-        a = out if drop_mask is None else np.multiply(out, drop_mask, out=out)
-        caches.append(_LayerCache(inputs, Zs, xs, xhat, batch_stats, a,
-                                  drop_mask))
-    P = np.add(a @ net.output_weights, net.output_bias, out=P_out)
-    return P, caches
+            o = np.multiply(scale, xhat, out=out[:, lp.live])
+            np.add(o, shift, out=o)
+        lp.mask = None if hidden_masks is None else hidden_masks[li]
+        a = out if lp.mask is None else np.multiply(out, lp.mask, out=out)
+    P = np.matmul(a, net.output_weights, out=P_out)
+    return np.add(P, net.output_bias, out=P)
 
 
 def training_loss(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
@@ -394,10 +494,9 @@ def training_loss(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
     as in backward, so finite differences of this function match it.
     """
     selection.validate(net)
-    X = net.hidden[0].blocks[0]._checked(X)
-    P, _ = _forward_train(net, X, _plan(net, selection, len(X)))
-    value, _ = loss_and_grad(P, Y, loss)
-    return value
+    X, Y = _checked_targets(net, X, Y)
+    plan = _plan(net, selection, len(X))
+    return _loss(_forward_train(net, X, plan), Y, loss, plan.t)
 
 
 def backward(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
@@ -405,51 +504,62 @@ def backward(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
              loss: LossKind = LossKind.MSE) -> Gradients:
     """Exact loss gradients for every selected parameter (no dropout)."""
     selection.validate(net)
-    X = net.hidden[0].blocks[0]._checked(X)
+    X, Y = _checked_targets(net, X, Y)
     plan = _plan(net, selection, len(X))
-    P, caches = _forward_train(net, X, plan)
-    _, dP = loss_and_grad(P, Y, loss)
-    return _backward_from_caches(net, caches, dP, plan)
+    _loss(_forward_train(net, X, plan), Y, loss, plan.t, plan.dP)
+    return _backward(net, plan.dP, plan)
 
 
-def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
-                          plan: _Plan) -> Gradients:
-    """Every selected parameter's grad, written into ``plan.grads``."""
-    grads = plan.grads
+def _backward(net: GopNetwork, dP: np.ndarray, plan: _Plan) -> Gradients:
+    """Every selected parameter's grad after a _forward_train of len(dP)
+    rows, written into ``plan.grads``."""
+    grads, n = plan.grads, len(dP)
+    top = plan.layers[-1]
     if plan.include_output:
         dB, dbias = grads.output
-        np.matmul(caches[-1].a.T, dP, out=dB)
-        dP.sum(axis=0, out=dbias)
-    dA = dP @ net.output_weights.T
+        np.matmul(top.out[:n].T, dP, out=dB)
+        np.add.reduce(dP, axis=0, out=dbias)
+    dA = np.matmul(dP, net.output_weights.T, out=top.dA[:n])
     for li in range(len(net.hidden) - 1, plan.lowest - 1, -1):
-        layer, lp, cache = net.hidden[li], plan.layers[li], caches[li]
-        dout = dA if cache.drop_mask is None else dA * cache.drop_mask
-        # only the columns of the blocks visited below are read
-        dH_raw = np.empty(dout.shape)
-        if lp.frozen_gain is not None:
+        layer, lp = net.hidden[li], plan.layers[li]
+        # only the columns of the blocks visited below, the trained ones,
+        # are read: the live columns or, without batch norm, the gain span
+        dH = lp.dH[:n]
+        if lp.live is None:
+            dout = dA if lp.mask is None else np.multiply(dA, lp.mask, out=dA)
             sp, gain = lp.frozen_gain
-            np.multiply(dout[:, sp], gain, out=dH_raw[:, sp])
-        if lp.live is not None:
-            d_live = np.asfortranarray(dout[:, lp.live])  # as in the forward
-            xhat = cache.xhat
-            n = len(d_live)
-            dxhat = d_live * lp.live_norm[0]
-            mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=0) / n
-            dH_raw[:, lp.live] = (dxhat - np.add.reduce(dxhat, axis=0) / n
-                                  - xhat * mean_dxhat_xhat) / cache.batch_stats[1]
-            dscale, dshift = grads.norm[li]
-            np.add.reduce(d_live * xhat, axis=0, out=dscale)
-            np.add.reduce(d_live, axis=0, out=dshift)
+            np.multiply(dout[:, sp], gain, out=dH[:, sp])
+        else:
+            bn, k, live = lp.bn, lp.bn.n_live, lp.live
+            stack = bn.stack[:n]
+            prod, dxhat = stack[:, :k], stack[:, k:2 * k]
+            d_live = stack[:, 3 * k:]
+            xhat = bn.xhat[:n]
+            if lp.mask is None:
+                d_live[...] = dA[:, live]
+            else:
+                np.multiply(dA[:, live], lp.mask[:, live], out=d_live)
+            np.multiply(d_live, lp.live_norm[0], out=dxhat)
+            np.multiply(dxhat, xhat, out=prod)
+            np.multiply(d_live, xhat, out=stack[:, 2 * k:3 * k])
+            np.add.reduce(stack, axis=0, out=bn.sums)
+            bn.grads[...] = bn.grad_sums
+            means = np.divide(bn.means, n, out=bn.means)
+            # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sigma
+            d = np.subtract(dxhat, means[k:], out=dH[:, live])
+            np.subtract(d, np.multiply(xhat, means[:k], out=prod), out=d)
+            np.divide(d, bn.stats[1], out=d)
         need_dinputs = li > plan.lowest
-        dinputs = np.zeros_like(cache.inputs) if need_dinputs else None
-        rows = len(cache.inputs)
+        dinputs = plan.layers[li - 1].dA[:n] if need_dinputs else None
+        if need_dinputs:
+            dinputs.fill(0.0)
         for bi in lp.visit:
             _, _, dblock = layer.blocks[bi].backward(
-                cache.inputs, cache.Z[bi], cache.x[bi], dH_raw[:, lp.spans[bi]],
-                need_dinputs, [s[:rows] for s in lp.scratch[bi]],
+                lp.inputs, lp.Z[bi][:n], lp.x[bi][:n], dH[:, lp.spans[bi]],
+                need_dinputs, [s[:n] for s in lp.scratch[bi]],
                 grads.blocks[(li, bi)])
             if need_dinputs:
-                dinputs += dblock
+                np.add(dinputs, dblock, out=dinputs)
         dA = dinputs
     return grads
 
@@ -459,25 +569,24 @@ def _backward_from_caches(net: GopNetwork, caches, dP: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _apply_update(flat: _FlatParams, grad: np.ndarray, lr: float,
-                  spec: TrainSpec, epoch: int) -> None:
+                  decay: float, limit: float | None, epoch: int) -> None:
     """One SGD step over every trained parameter; ``grad`` is consumed."""
     # no decay term at lam == 0: for finite W, dW + 0 * W differs from dW
     # only in the sign of a zero, which W - lr * dW does not keep
-    decay = spec.weight_reg.lam if isinstance(spec.weight_reg, Decay) else 0.0
     values, head = flat.values, flat.n_weights
     if decay:
         grad[:head] += decay * values[:head]
-    grad *= lr
-    values -= grad
-    if isinstance(spec.weight_reg, MaxNorm):
+    np.multiply(grad, lr, out=grad)
+    np.subtract(values, grad, out=values)
+    if limit is not None:
         for W in flat.matrices:
-            _project_rows(W, spec.weight_reg.limit, epoch)
+            _project_rows(W, limit, epoch)
 
 
 def _project_rows(W: np.ndarray, limit: float, epoch: int) -> None:
     """Max-norm projection of W's rows; a non-finite norm is divergence."""
     norms = np.sqrt(np.add.reduce(W * W, axis=1))  # np.linalg.norm(W, axis=1)
-    if norms.max() <= limit:  # False for a NaN norm too
+    if np.maximum.reduce(norms) <= limit:  # False for a NaN norm too
         return
     if not np.isfinite(norms).all():
         raise NonFiniteLoss(f"non-finite weight norm at epoch {epoch}", epoch=epoch)
@@ -485,74 +594,89 @@ def _project_rows(W: np.ndarray, limit: float, epoch: int) -> None:
     W[over] *= (limit / norms[over])[:, None]
 
 
-def _update_running_stats(caches, running: list) -> None:
-    for stats, cache in zip(running, caches):
+def _update_running_stats(plan: _Plan) -> None:
+    for stats, lp in zip(plan.flat.running, plan.layers):
         if stats is not None:
-            stats *= BN_MOMENTUM
-            cache.batch_stats *= 1.0 - BN_MOMENTUM
-            stats += cache.batch_stats
+            batch_stats = lp.bn.stats
+            np.multiply(stats, BN_MOMENTUM, out=stats)
+            np.multiply(batch_stats, 1.0 - BN_MOMENTUM, out=batch_stats)
+            np.add(stats, batch_stats, out=stats)
 
 
-def _epoch_layout(net: GopNetwork, n: int, spec: TrainSpec):
-    """Batch bounds, one buffer for an epoch's dropout draws, and the views
-    of it: per batch (input mask, hidden masks or None), and the (view,
-    rate) pairs that threshold every mask of the epoch in place.
+def _dropout_runs(net: GopNetwork, n: int, spec: TrainSpec):
+    """The epoch's batches in runs of whole batches whose dropout draws fit
+    DROPOUT_RUN_BYTES (at least one batch per run), all drawn into one
+    buffer: (rows per run, the full runs' layout, the last run's layout).
 
-    The buffer holds the draws in the order per-batch draws take them from
-    the stream: per batch, its input mask, then each layer's hidden mask.
+    A layout is (the buffer's view its draws fill, the (view, rate) pairs
+    that threshold its masks in place, its batches as (start, stop) within
+    the run and (input mask, hidden masks or None)).  The draws are in the
+    stream order of per-batch draws: per batch, its input mask, then each
+    layer's hidden mask.
     """
     p_in, p_hidden = spec.dropout_input, spec.dropout_hidden
     widths = ([net.input_dim] if p_in > 0 else []) + (
         [layer.width for layer in net.hidden] if p_hidden > 0 else [])
     per_row, size = sum(widths), spec.batch_size
-    draws = np.empty(n * per_row)
-    bounds, masks = [], []
-    for start in range(0, n, size):
-        stop = min(start + size, n)
-        views, offset = [], start * per_row
-        for width in widths:
-            views.append(draws[offset:offset + (stop - start) * width]
-                         .reshape(stop - start, width))
-            offset += (stop - start) * width
-        bounds.append((start, stop))
-        masks.append((views.pop(0) if p_in > 0 else None,
-                      views if p_hidden > 0 else None))
-    # the full batches as one row each, then any partial last batch
-    full = n // size * size
-    thresholds = []
-    for rows, block in ((size, draws[:full * per_row]),
-                        (n - full, draws[full * per_row:])):
-        if block.size == 0:
-            continue
-        block = block.reshape(-1, rows * per_row)
-        cut = rows * (net.input_dim if p_in > 0 else 0)
-        for view, rate in ((block[:, :cut], p_in), (block[:, cut:], p_hidden)):
-            if view.size:
-                thresholds.append((view, rate))
-    return bounds, draws, masks, thresholds
+    run_rows = n if not per_row else min(n, size * max(
+        1, DROPOUT_RUN_BYTES // (8 * per_row * size)))
+    draws = np.empty(run_rows * per_row)
+
+    def layout(rows):
+        batches = []
+        for start in range(0, rows, size):
+            stop = min(start + size, rows)
+            views, offset = [], start * per_row
+            for width in widths:
+                views.append(draws[offset:offset + (stop - start) * width]
+                             .reshape(stop - start, width))
+                offset += (stop - start) * width
+            batches.append(((start, stop), (views.pop(0) if p_in > 0 else None,
+                                            views if p_hidden > 0 else None)))
+        # the full batches as one row each, then any partial last batch
+        full = rows // size * size
+        thresholds = []
+        for batch_rows, block in ((size, draws[:full * per_row]),
+                                  (rows - full,
+                                   draws[full * per_row:rows * per_row])):
+            if block.size == 0:
+                continue
+            block = block.reshape(-1, batch_rows * per_row)
+            cut = batch_rows * (net.input_dim if p_in > 0 else 0)
+            for view, rate in ((block[:, :cut], p_in), (block[:, cut:], p_hidden)):
+                if view.size:
+                    thresholds.append((view, rate))
+        return draws[:rows * per_row], thresholds, batches
+
+    return run_rows, layout(run_rows), layout(n - (n - 1) // run_rows * run_rows)
 
 
 def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
              selection: TrainableSelection) -> TrainLog:
     """Mini-batch SGD over the learning-rate schedule.
 
-    Dropout and batch statistics apply during training only.  A non-finite
-    loss or weight norm, or an epoch that diverges by the DIVERGENCE_RATIO
-    rule, raises NonFiniteLoss.  The call is all or nothing: for its length
-    the network holds views of one flat buffer in place of the trained
-    parameters and running statistics, updated by one subtraction per step,
-    and the caller's arrays sit untouched.  A return copies the values into
-    them; after a raise they keep their pre-call bytes.  Either way the
-    network holds them again.  The per-layer plan (column spans, the frozen
-    columns' normalization, the nodal tensor and grad buffers) and the
-    floating-point error state are set up once per call.  Each epoch gathers
-    its permuted rows once, draws all its dropout masks with one call, in
-    the stream order of per-batch draws, and counts its hits once.
+    ``data_train`` and ``data_val`` (None for no validation) are (X, Y)
+    pairs: X [N, input_dim] and Y [N, C] targets with N >= 1, checked before
+    any compute (DimensionMismatch, EmptyInput).  Dropout and batch
+    statistics apply during training only.  A non-finite loss or weight
+    norm, or an epoch that diverges by the DIVERGENCE_RATIO rule, raises
+    NonFiniteLoss.  The call is all or nothing: for its length the network
+    holds views of one flat buffer in place of the trained parameters and
+    running statistics, updated by one subtraction per step, and the
+    caller's arrays sit untouched.  A return copies the values into them;
+    after a raise they keep their pre-call bytes.  Either way the network
+    holds them again.  The per-layer plan (column spans, the frozen columns'
+    normalization, the buffers every pass writes into) and the
+    floating-point error state are set up once per call.  Each epoch
+    gathers its permuted rows once and counts its hits once; it draws its
+    dropout masks in runs of whole batches, one call per run, in the stream
+    order of per-batch draws.
     """
     spec.validate()
     selection.validate(net)
-    X, Y = data_train
-    X = net.hidden[0].blocks[0]._checked(X)
+    X, Y = _checked_targets(net, *data_train, "training data")
+    if data_val is not None:
+        data_val = _checked_targets(net, *data_val, "validation data")
     plan = _plan(net, selection, min(spec.batch_size, len(X)), bind=True)
     try:
         log = _sgd(net, X, Y, data_val, spec, plan)
@@ -564,15 +688,17 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
             setattr(owner, name, array)
 
 
-def _sgd(net: GopNetwork, X: np.ndarray, Y, data_val, spec: TrainSpec,
-         plan: _Plan) -> TrainLog:
+def _sgd(net: GopNetwork, X: np.ndarray, Y: np.ndarray, data_val,
+         spec: TrainSpec, plan: _Plan) -> TrainLog:
     n = X.shape[0]
-    Y = np.asarray(Y, dtype=float)
     labels = Y.argmax(axis=1)
-    bounds, draws, masks, thresholds = _epoch_layout(net, n, spec)
+    val_labels = None if data_val is None else data_val[1].argmax(axis=1)
+    run_rows, full_run, last_run = _dropout_runs(net, n, spec)
     X_epoch, Y_epoch = np.empty((n, X.shape[1])), np.empty((n, Y.shape[1]))
     labels_epoch = np.empty(n, dtype=labels.dtype)
     P_epoch = np.empty((n, net.n_classes))
+    decay = spec.weight_reg.lam if isinstance(spec.weight_reg, Decay) else 0.0
+    limit = spec.weight_reg.limit if isinstance(spec.weight_reg, MaxNorm) else None
     rng = np.random.default_rng(spec.seed)
     log = TrainLog()
     loss_limit = None
@@ -580,38 +706,48 @@ def _sgd(net: GopNetwork, X: np.ndarray, Y, data_val, spec: TrainSpec,
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch_index, lr in enumerate(lrs):
             order = rng.permutation(n)
+            # mode="clip" writes into target directly; "raise" would gather
+            # into a copy first, which a permutation never needs
             for source, target in ((X, X_epoch), (Y, Y_epoch),
                                    (labels, labels_epoch)):
-                np.take(source, order, axis=0, out=target)
-            if draws.size:
-                rng.random(out=draws)
-                for view, rate in thresholds:
-                    np.greater_equal(view, rate, out=view)
-                    view /= 1.0 - rate
+                source.take(order, axis=0, out=target, mode="clip")
             loss_sum = 0.0
-            for (start, stop), (input_mask, hidden_masks) in zip(bounds, masks):
-                P, caches = _forward_train(
-                    net, X_epoch[start:stop], plan, input_mask, hidden_masks,
-                    P_epoch[start:stop])
-                batch_loss, dP = loss_and_grad(P, Y_epoch[start:stop], spec.loss)
-                if not np.isfinite(batch_loss):
-                    raise NonFiniteLoss(
-                        f"non-finite training loss at epoch {epoch_index}",
-                        epoch=epoch_index)
-                if loss_limit is None:  # the loss before any update
-                    loss_limit = DIVERGENCE_RATIO * max(batch_loss,
-                                                        DIVERGENCE_FLOOR)
-                loss_sum += batch_loss * (stop - start)
-                _backward_from_caches(net, caches, dP, plan)
-                _apply_update(plan.flat, plan.grad, lr, spec, epoch_index)
-                _update_running_stats(caches, plan.flat.running)
+            for run_start in range(0, n, run_rows):
+                draws, thresholds, batches = (
+                    full_run if run_start + run_rows <= n else last_run)
+                if draws.size:
+                    rng.random(out=draws)
+                    for view, rate in thresholds:
+                        np.greater_equal(view, rate, out=view)
+                        np.divide(view, 1.0 - rate, out=view)
+                for (start, stop), (input_mask, hidden_masks) in batches:
+                    start, stop = run_start + start, run_start + stop
+                    P = _forward_train(net, X_epoch[start:stop], plan,
+                                       input_mask, hidden_masks,
+                                       P_epoch[start:stop])
+                    rows = stop - start
+                    dP = plan.dP[:rows]
+                    batch_loss = _loss(P, Y_epoch[start:stop], spec.loss,
+                                       plan.t[:rows], dP)
+                    if not math.isfinite(batch_loss):
+                        raise NonFiniteLoss(
+                            f"non-finite training loss at epoch {epoch_index}",
+                            epoch=epoch_index)
+                    if loss_limit is None:  # the loss before any update
+                        loss_limit = DIVERGENCE_RATIO * max(batch_loss,
+                                                            DIVERGENCE_FLOOR)
+                    loss_sum += batch_loss * rows
+                    _backward(net, dP, plan)
+                    _apply_update(plan.flat, plan.grad, lr, decay, limit,
+                                  epoch_index)
+                    _update_running_stats(plan)
             hits = int((P_epoch.argmax(axis=1) == labels_epoch).sum())
             train_loss = loss_sum / n
             diverged = train_loss > loss_limit
             val_loss = val_acc = None
             if data_val is not None:
-                val_loss, val_acc = evaluate_metrics(
-                    net, data_val[0], data_val[1], spec.loss)
+                val_loss, val_acc = _metrics(net, *data_val, val_labels,
+                                             spec.loss)
                 diverged = diverged or not np.isfinite(val_loss)
             if diverged:
                 raise NonFiniteLoss(

@@ -18,6 +18,7 @@ from gopnet.operators import (
     _NODAL,
     _POOL,
     LIBRARY_SIZE,
+    _clip,
     ActivationOp,
     NodalOp,
     OperatorSet,
@@ -600,3 +601,118 @@ class TestGradChainsKeepTheirBytes:
             assert same_bytes(dW, want_dW)
             assert same_bytes(dbias, want_dbias)
         assert same_bytes(got[True][2], want_dinputs)
+
+
+# The bound kernels a block calls directly, and the bare ufunc reductions
+# and clip the hot paths call in place of numpy's Python wrappers, must give
+# the bits of the public lookups and of those wrappers.
+
+@st.composite
+def block_tensors(draw):
+    """A [rows, fan_in, width] tensor of ties, signed zeros, infinities, NaN
+    and finite values, width 1 included (there numpy sums fan-in pairwise),
+    fan-in past numpy's pairwise block of 8, and C- or F-ordered."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 20)),
+             draw(st.integers(1, 4)))
+    Z = draw(hnp.arrays(float, shape, elements=st.one_of(TIED, OPERAND)))
+    return np.asfortranarray(Z) if draw(st.booleans()) else Z
+
+
+def op_sets_with(op):
+    """An operator set holding ``op``, the other two its family's first."""
+    parts = {NodalOp: NodalOp.MULTIPLICATION, PoolOp: PoolOp.SUMMATION,
+             ActivationOp: ActivationOp.SIGMOID}
+    parts[type(op)] = op
+    return OperatorSet(parts[NodalOp], parts[PoolOp], parts[ActivationOp])
+
+
+class TestBoundKernels:
+    def test_resolved_once_per_set_from_the_tables(self):
+        for op_set in enumerate_operator_sets():
+            k = op_set.kernels
+            assert k is op_set.kernels
+            assert (k.nodal, k.nodal_grad) == (_NODAL[op_set.nodal].forward,
+                                               _NODAL[op_set.nodal].grad)
+            assert (k.pool, k.pool_grad) == (_POOL[op_set.pool].forward,
+                                             _POOL[op_set.pool].grad)
+            assert (k.activation, k.activation_grad) == (
+                _ACTIVATION[op_set.activation].forward,
+                _ACTIVATION[op_set.activation].grad)
+
+    @pytest.mark.parametrize("op", list(NodalOp))
+    @given(Z=block_tensors(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_nodal_kernels(self, op, Z, data):
+        k = op_sets_with(op).kernels
+        w = data.draw(hnp.arrays(float, Z.shape[1:], elements=GRAD_OPERAND))
+        y = Z[:, :, 0]
+        with np.errstate(all="ignore"):
+            assert same_bytes(k.nodal(w[None], y[:, :, None]),
+                              nodal_forward(op, w[None], y[:, :, None]))
+            out = garbage(Z.shape)
+            assert same_bytes(k.nodal(w[None], y[:, :, None], out),
+                              nodal_forward(op, w[None], y[:, :, None]))
+            for want_y in (False, True):
+                buffers = [garbage(Z.shape, i) for i in range(3)]
+                gw, gy = k.nodal_grad(w[None], y[:, :, None], buffers[0],
+                                      buffers[1] if want_y else None,
+                                      buffers[2])
+                want_gw, want_gy = nodal_grad(op, w[None], y[:, :, None],
+                                              want_y)
+                assert same_bytes(np.broadcast_to(gw, Z.shape),
+                                  np.broadcast_to(want_gw, Z.shape))
+                assert (gy is None) == (want_gy is None)
+                if want_y:
+                    assert same_bytes(np.broadcast_to(gy, Z.shape),
+                                      np.broadcast_to(want_gy, Z.shape))
+
+    @pytest.mark.parametrize("op", list(PoolOp))
+    @given(Z=block_tensors())
+    @settings(max_examples=80, deadline=None)
+    def test_pool_kernels(self, op, Z):
+        k = op_sets_with(op).kernels
+        with np.errstate(all="ignore"):
+            want = pool_forward_batch(op, Z)
+            assert same_bytes(k.pool(Z), want)
+            # into a reused buffer of either order, from a C-ordered tensor
+            # as every nodal forward makes (from an F-ordered one, a C-ordered
+            # output would move the sum order)
+            C = np.ascontiguousarray(Z)
+            for order in "CF":
+                out = np.asarray(garbage((Z.shape[0], Z.shape[2])), order=order)
+                assert k.pool(C, out=out) is out
+                assert same_bytes(out, pool_forward_batch(op, C))
+            assert same_bytes(k.pool_grad(Z, garbage(Z.shape, 1),
+                                          garbage(Z.shape, 2)),
+                              pool_grad_batch(op, Z))
+        if op is PoolOp.MAXIMUM:  # a tie goes to the first maximal index
+            assert same_bytes(k.pool_grad(Z, garbage(Z.shape), garbage(Z.shape)),
+                              put_along_axis_maximum_grad(Z))
+
+    @pytest.mark.parametrize("op", list(ActivationOp))
+    @given(Z=block_tensors())
+    @settings(max_examples=60, deadline=None)
+    def test_activation_kernels(self, op, Z):
+        k = op_sets_with(op).kernels
+        x = Z[:, 0, :]
+        with np.errstate(all="ignore"):
+            assert same_bytes(k.activation(x), activation_forward(op, x))
+            assert same_bytes(k.activation_grad(x), activation_grad(op, x))
+
+    @given(Z=block_tensors())
+    @settings(max_examples=150, deadline=None)
+    def test_bare_reductions_and_clip_keep_the_wrappers_bits(self, Z):
+        with np.errstate(all="ignore"):
+            for axis in (0, 1, 2, None):
+                assert same_bytes(np.add.reduce(Z, axis=axis), Z.sum(axis=axis))
+                assert same_bytes(np.maximum.reduce(Z, axis=axis),
+                                  Z.max(axis=axis))
+            for M in (Z[:, 0, :], Z[:, :, 0]):  # [rows, columns] matrices
+                assert same_bytes(np.add.reduce(M, axis=0), M.sum(axis=0))
+                # a vector, as the max-norm row norms
+                assert same_bytes(np.maximum.reduce(M[0]), M[0].max())
+            assert same_bytes(_clip(Z, -EXP_CLAMP, EXP_CLAMP),
+                              np.clip(Z, -EXP_CLAMP, EXP_CLAMP))
+            out = garbage(Z.shape)
+            _clip(Z, -EXP_CLAMP, EXP_CLAMP, out=out)
+            assert same_bytes(out, np.clip(Z, -EXP_CLAMP, EXP_CLAMP))

@@ -1,6 +1,8 @@
 import copy
 import hashlib
 import json
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,9 +12,26 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gopnet.data import one_hot
-from gopnet.errors import ConfigError, NonFiniteLoss, UnfitNormalization
+from gopnet.errors import (
+    ConfigError,
+    DimensionMismatch,
+    EmptyInput,
+    NonFiniteLoss,
+    UnfitNormalization,
+)
 from gopnet.network import GopLayer, GopNetwork, NeuronBlock, NormMode, NormState
-from gopnet.operators import ActivationOp, NodalOp, OperatorSet, PoolOp
+from gopnet.operators import (
+    ActivationOp,
+    NodalOp,
+    OperatorSet,
+    PoolOp,
+    activation_forward,
+    activation_grad,
+    nodal_forward,
+    nodal_grad,
+    pool_forward_batch,
+    pool_grad_batch,
+)
 from gopnet import training
 from gopnet.ridge import solve_ridge
 from gopnet.training import (
@@ -573,20 +592,243 @@ class TestHandWrittenReductions:
                                       np.asarray(numpys).view(np.uint64))
 
 
+class TestLossHead:
+    """loss_and_grad writes through the buffers of the one loss head the
+    step uses; it must keep the bits of the loss computed with fresh
+    temporaries."""
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    @given(P=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                max_side=12),
+                        elements=st.floats(-1e3, 1e3)),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_it_has_the_bits_of_fresh_temporaries(self, loss, P, data):
+        Y = one_hot(np.array(data.draw(st.lists(
+            st.integers(0, P.shape[1] - 1), min_size=len(P),
+            max_size=len(P)))), P.shape[1])
+        value, dP = loss_and_grad(P, Y, loss)
+        want_value, want_dP = reference_loss_and_grad(P, Y, loss)
+        assert float_bits(value) == float_bits(want_value)
+        assert_same_bits([dP], [want_dP])
+
+
 # ---------------------------------------------------------------------------
 # The per-epoch loop against the per-batch one
 # ---------------------------------------------------------------------------
 
+# The SGD step as it was before its operator calls were bound and its
+# passes wrote into plan buffers, kept here unchanged as the reference that
+# finetune's step must keep the bits of: the operators go through the public
+# lookups, the block forward and backward are inlined, and every temporary
+# is a fresh array.
+
+@dataclass
+class ReferenceLayerPlan:
+    spans: list
+    visit: list
+    live: slice | None
+    live_norm: tuple | None
+    frozen: tuple | None
+    frozen_gain: tuple | None
+    Z: list
+    scratch: list
+
+
+@dataclass
+class ReferencePlan:
+    layers: list
+    lowest: int
+    include_output: bool
+    grads: training.Gradients
+
+
+@dataclass
+class ReferenceCache:
+    inputs: np.ndarray
+    Z: tuple
+    x: tuple
+    xhat: np.ndarray | None
+    batch_stats: np.ndarray | None
+    a: np.ndarray
+    drop_mask: np.ndarray | None
+
+
+def reference_plan(net, selection, rows):
+    slots, block_keys, norm_keys = training._param_slots(net, selection)
+    arrays = [getattr(owner, name) for owner, name in slots]
+    grad = np.zeros(sum(a.size for a in arrays))
+    n_matrices = len(block_keys) + selection.include_output
+    lowest, first = selection.first_trained(net)
+    scratch = [np.empty(max(rows * layer.fan_in * b.width for layer in net.hidden
+                            for b in layer.blocks)) for _ in range(3)]
+    layers = []
+    for li, layer in enumerate(net.hidden):
+        norm = layer.norm
+        spans = [layer.block_slice(bi) for bi in range(len(layer.blocks))]
+        visit = ([] if li < lowest
+                 else list(range(first if li == lowest else 0, len(spans))))
+        trained = slice(spans[visit[0]].start, layer.width) if visit else None
+        live = trained if norm.mode is NormMode.BATCHNORM else None
+        frozen = slice(0, layer.width if live is None else live.start)
+        shapes = [(rows, layer.fan_in, b.width) for b in layer.blocks]
+        layers.append(ReferenceLayerPlan(
+            spans, visit, live,
+            None if live is None else (norm.scale[live], norm.shift[live]),
+            (frozen, norm.scale[frozen], norm.mean[frozen], norm.std[frozen],
+             norm.shift[frozen]) if frozen.stop > 0 else None,
+            (trained, norm.scale[trained] / norm.std[trained])
+            if trained is not None and live is None else None,
+            [np.empty(shape) for shape in shapes],
+            [tuple(f[:np.prod(shape)].reshape(shape) for f in scratch)
+             for shape in shapes]))
+    views = training._flat_views(grad, arrays)
+    biases = views[n_matrices:]
+    norm_grads = biases[len(block_keys):len(block_keys) + 2 * len(norm_keys)]
+    grads = training.Gradients(
+        dict(zip(block_keys, zip(views, biases))),
+        {li: (dscale[layers[li].live], dshift[layers[li].live])
+         for li, dscale, dshift in zip(norm_keys, norm_grads[::2],
+                                       norm_grads[1::2])},
+        (views[n_matrices - 1], views[-1]) if selection.include_output else None)
+    return ReferencePlan(layers, lowest, selection.include_output, grads)
+
+
+def reference_block_parts(block, inputs, Z_out):
+    Z = nodal_forward(block.op_set.nodal, block.weights[None],
+                      inputs[:, :, None], Z_out)
+    x = pool_forward_batch(block.op_set.pool, Z) + block.bias
+    return Z, x, activation_forward(block.op_set.activation, x)
+
+
+def reference_block_backward(block, inputs, Z, x, dh, want_inputs, scratch,
+                             out):
+    G, S, T = scratch
+    dx = dh * activation_grad(block.op_set.activation, x)
+    dZ = dx[:, None, :]
+    if block.op_set.pool is not PoolOp.SUMMATION:
+        dZ = np.multiply(dZ, pool_grad_batch(block.op_set.pool, Z, G, T), out=G)
+    gw, gy = nodal_grad(block.op_set.nodal, block.weights[None, :, :],
+                        inputs[:, :, None], want_inputs, (Z, S, T))
+    dW, dbias = out
+    dW = np.multiply(dZ, gw, out=Z).sum(axis=0, out=dW)
+    dbias = dx.sum(axis=0, out=dbias)
+    dinputs = np.multiply(dZ, gy, out=Z).sum(axis=2) if want_inputs else None
+    return dW, dbias, dinputs
+
+
+def reference_forward_train(net, X, plan, input_mask=None, hidden_masks=None):
+    a = X if input_mask is None else X * input_mask
+    caches = []
+    for li, (layer, lp) in enumerate(zip(net.hidden, plan.layers)):
+        inputs = a
+        Zs, xs, hs = zip(*(reference_block_parts(block, inputs, Z[:len(inputs)])
+                           for block, Z in zip(layer.blocks, lp.Z)))
+        H_raw = hs[0] if len(hs) == 1 else np.concatenate(hs, axis=1)
+        out = np.empty_like(H_raw)
+        if lp.frozen is not None:
+            sp, scale, mean, std, shift = lp.frozen
+            out[:, sp] = scale * (H_raw[:, sp] - mean) / std + shift
+        xhat = batch_stats = None
+        if lp.live is not None:
+            h_live = np.asfortranarray(H_raw[:, lp.live])
+            n = len(h_live)
+            batch_stats = np.empty((2, h_live.shape[1]))
+            batch_mean, sigma = batch_stats
+            np.divide(np.add.reduce(h_live, axis=0), n, out=batch_mean)
+            centered = h_live - batch_mean
+            np.sqrt(np.add.reduce(centered * centered, axis=0) / n
+                    + training.BN_EPS, out=sigma)
+            xhat = centered / sigma
+            scale, shift = lp.live_norm
+            out[:, lp.live] = scale * xhat + shift
+        drop_mask = None if hidden_masks is None else hidden_masks[li]
+        a = out if drop_mask is None else np.multiply(out, drop_mask, out=out)
+        caches.append(ReferenceCache(inputs, Zs, xs, xhat, batch_stats, a,
+                                     drop_mask))
+    return a @ net.output_weights + net.output_bias, caches
+
+
+def reference_backward(net, caches, dP, plan):
+    grads = plan.grads
+    if plan.include_output:
+        dB, dbias = grads.output
+        np.matmul(caches[-1].a.T, dP, out=dB)
+        dP.sum(axis=0, out=dbias)
+    dA = dP @ net.output_weights.T
+    for li in range(len(net.hidden) - 1, plan.lowest - 1, -1):
+        layer, lp, cache = net.hidden[li], plan.layers[li], caches[li]
+        dout = dA if cache.drop_mask is None else dA * cache.drop_mask
+        dH_raw = np.empty(dout.shape)
+        if lp.frozen_gain is not None:
+            sp, gain = lp.frozen_gain
+            np.multiply(dout[:, sp], gain, out=dH_raw[:, sp])
+        if lp.live is not None:
+            d_live = np.asfortranarray(dout[:, lp.live])
+            xhat = cache.xhat
+            n = len(d_live)
+            dxhat = d_live * lp.live_norm[0]
+            mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=0) / n
+            dH_raw[:, lp.live] = (dxhat - np.add.reduce(dxhat, axis=0) / n
+                                  - xhat * mean_dxhat_xhat) / cache.batch_stats[1]
+            dscale, dshift = grads.norm[li]
+            np.add.reduce(d_live * xhat, axis=0, out=dscale)
+            np.add.reduce(d_live, axis=0, out=dshift)
+        need_dinputs = li > plan.lowest
+        dinputs = np.zeros_like(cache.inputs) if need_dinputs else None
+        rows = len(cache.inputs)
+        for bi in lp.visit:
+            _, _, dblock = reference_block_backward(
+                layer.blocks[bi], cache.inputs, cache.Z[bi], cache.x[bi],
+                dH_raw[:, lp.spans[bi]], need_dinputs,
+                [s[:rows] for s in lp.scratch[bi]], grads.blocks[(li, bi)])
+            if need_dinputs:
+                dinputs += dblock
+        dA = dinputs
+    return grads
+
+
+def reference_loss_and_grad(P, Y, loss):
+    if loss is LossKind.MSE:
+        diff = P - Y
+        mse = np.add.reduce(diff * diff, axis=None) / diff.size
+        return float(mse), (2.0 / diff.size) * diff
+    shifted = P - P.max(axis=1, keepdims=True)
+    expP = np.exp(shifted)
+    probs = expP / expP.sum(axis=1, keepdims=True)
+    n = P.shape[0]
+    value = float(-np.sum(Y * (shifted - np.log(expP.sum(axis=1, keepdims=True)))) / n)
+    return value, (probs - Y) / n
+
+
+def reference_evaluate_metrics(net, X, Y, loss):
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = net.forward(X)
+        value, _ = reference_loss_and_grad(P, Y, loss)
+        accuracy = float(np.mean(P.argmax(axis=1) == Y.argmax(axis=1)))
+    return value, accuracy
+
+
+def reference_project_rows(W, limit, epoch):
+    norms = np.sqrt(np.add.reduce(W * W, axis=1))
+    if norms.max() <= limit:
+        return
+    if not np.isfinite(norms).all():
+        raise NonFiniteLoss(f"non-finite weight norm at epoch {epoch}", epoch=epoch)
+    over = norms > limit
+    W[over] *= (limit / norms[over])[:, None]
+
+
 def per_batch_finetune(net, data_train, data_val, spec, selection):
-    """finetune with one gather, dropout draw and hit count per batch and an
-    update block by block, each block projected before the next is updated:
-    the loop whose log, raise and trained state the per-epoch finetune must
-    reproduce bit for bit."""
+    """finetune with one gather, dropout draw and hit count per batch, the
+    reference step above and an update block by block, each block projected
+    before the next is updated: the loop whose log, raise and trained state
+    the per-epoch finetune must reproduce bit for bit."""
     spec.validate()
     selection.validate(net)
     X, Y = data_train
-    X = net.hidden[0].blocks[0]._checked(X)
-    plan = training._plan(net, selection, min(spec.batch_size, len(X)))
+    X = np.asarray(X, dtype=float)
+    plan = reference_plan(net, selection, min(spec.batch_size, len(X)))
     Y = np.asarray(Y, dtype=float)
     labels = Y.argmax(axis=1)
     rng = np.random.default_rng(spec.seed)
@@ -611,9 +853,9 @@ def per_batch_finetune(net, data_train, data_val, spec, selection):
                                      >= spec.dropout_hidden)
                                     / (1.0 - spec.dropout_hidden)
                                     for layer in net.hidden]
-                P, caches = training._forward_train(net, X[idx], plan,
+                P, caches = reference_forward_train(net, X[idx], plan,
                                                     input_mask, hidden_masks)
-                batch_loss, dP = loss_and_grad(P, Y[idx], spec.loss)
+                batch_loss, dP = reference_loss_and_grad(P, Y[idx], spec.loss)
                 if not np.isfinite(batch_loss):
                     raise NonFiniteLoss(
                         f"non-finite training loss at epoch {epoch_index}",
@@ -623,7 +865,7 @@ def per_batch_finetune(net, data_train, data_val, spec, selection):
                         batch_loss, training.DIVERGENCE_FLOOR)
                 loss_sum += batch_loss * len(idx)
                 hits += int((P.argmax(axis=1) == labels[idx]).sum())
-                grads = training._backward_from_caches(net, caches, dP, plan)
+                grads = reference_backward(net, caches, dP, plan)
                 block_by_block_update(net, grads, lr, spec, plan, epoch_index)
                 for li, (lp, cache) in enumerate(zip(plan.layers, caches)):
                     if lp.live is None:
@@ -639,7 +881,7 @@ def per_batch_finetune(net, data_train, data_val, spec, selection):
             diverged = train_loss > loss_limit
             val_loss = val_acc = None
             if data_val is not None:
-                val_loss, val_acc = evaluate_metrics(
+                val_loss, val_acc = reference_evaluate_metrics(
                     net, data_val[0], data_val[1], spec.loss)
                 diverged = diverged or not np.isfinite(val_loss)
             if diverged:
@@ -660,7 +902,7 @@ def block_by_block_update(net, grads, lr, spec, plan, epoch):
         block.weights -= lr * (dW + decay * block.weights if decay else dW)
         block.bias -= lr * db
         if max_norm is not None:
-            training._project_rows(block.weights, max_norm, epoch)
+            reference_project_rows(block.weights, max_norm, epoch)
     for li, (dscale, dshift) in grads.norm.items():
         scale, shift = plan.layers[li].live_norm
         scale -= lr * dscale
@@ -671,7 +913,7 @@ def block_by_block_update(net, grads, lr, spec, plan, epoch):
         W -= lr * (dB + decay * W if decay else dB)
         net.output_bias -= lr * dbias
         if max_norm is not None:
-            training._project_rows(W, max_norm, epoch)
+            reference_project_rows(W, max_norm, epoch)
 
 
 NORM_FIELDS = ("mean", "std", "scale", "shift")
@@ -763,11 +1005,35 @@ def random_net(rng, layers, fortran_output=False, input_dim=3, n_classes=3):
                       rng.normal(size=n_classes) * 0.1)
 
 
+def check_against_per_batch(case):
+    """finetune on ``case`` keeps the per-batch loop's log or raise, bit for
+    bit, and its trained state (the pre-call state after a raise), in the
+    arrays the caller held."""
+    layers, selection, n, spec, with_val, fortran_output, seed = case
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, layers, fortran_output)
+    X = rng.normal(size=(n, 3))
+    Y = one_hot(rng.integers(0, 3, n), 3)
+    val = (rng.normal(size=(5, 3)), one_hot(rng.integers(0, 3, 5), 3)) \
+        if with_val else None
+    reference, before = copy.deepcopy(net), copy.deepcopy(net)
+    held = held_arrays(net)
+    ours = run_outcome(finetune, net, (X, Y), val, spec, selection)
+    want = run_outcome(per_batch_finetune, reference, (X, Y), val, spec,
+                       selection)
+    assert ours == want
+    assert all(a is b for a, b in zip(held_arrays(net), held))
+    raised = isinstance(want, tuple)
+    assert_same_bits(held, held_arrays(before if raised else reference))
+
+
 class TestPerEpochLoop:
-    """finetune draws, gathers and counts once per epoch and updates every
-    parameter with one subtraction; on a return it must keep the bits of the
-    per-batch loop, after a raise hand back the pre-call network, and either
-    way leave the caller the arrays it held."""
+    """finetune gathers and counts once per epoch, draws its dropout masks in
+    runs of whole batches, and updates every parameter with one subtraction
+    in a step that writes into plan buffers; on a return it must keep the
+    bits of the per-batch loop over the reference step, after a raise hand
+    back the pre-call network, and either way leave the caller the arrays it
+    held."""
 
     @given(case=finetune_cases())
     # raises at epoch 1, after a whole epoch of updates: two batch-norm
@@ -781,22 +1047,16 @@ class TestPerEpochLoop:
         True, False, 9))
     @settings(max_examples=200, deadline=None)
     def test_it_has_the_bits_of_the_per_batch_loop(self, case):
-        layers, selection, n, spec, with_val, fortran_output, seed = case
-        rng = np.random.default_rng(seed)
-        net = random_net(rng, layers, fortran_output)
-        X = rng.normal(size=(n, 3))
-        Y = one_hot(rng.integers(0, 3, n), 3)
-        val = (rng.normal(size=(5, 3)), one_hot(rng.integers(0, 3, 5), 3)) \
-            if with_val else None
-        reference, before = copy.deepcopy(net), copy.deepcopy(net)
-        held = held_arrays(net)
-        ours = run_outcome(finetune, net, (X, Y), val, spec, selection)
-        want = run_outcome(per_batch_finetune, reference, (X, Y), val, spec,
-                           selection)
-        assert ours == want
-        assert all(a is b for a, b in zip(held_arrays(net), held))
-        raised = isinstance(want, tuple)
-        assert_same_bits(held, held_arrays(before if raised else reference))
+        check_against_per_batch(case)
+
+    # budgets of one batch per run (every budget below one batch's draws),
+    # and of a few batches per run with a shorter last run
+    @given(case=finetune_cases(), budget=st.sampled_from([1, 600, 2000]))
+    @settings(max_examples=60, deadline=None)
+    def test_dropout_runs_keep_the_bits(self, case, budget):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "DROPOUT_RUN_BYTES", budget)
+            check_against_per_batch(case)
 
     def test_a_raise_hands_back_the_held_arrays(self):
         # the validation loss is NaN after the first epoch
@@ -849,3 +1109,103 @@ class TestMaxNormRaise:
             finetune(net, data, None, spec, selection)
         assert all(a is b for a, b in zip(held_arrays(net), held))
         assert_same_bits(held_arrays(net), held_arrays(before))
+
+
+class TestFinetuneMemory:
+    def test_peak_grows_with_n_only_by_the_permuted_copies(self):
+        """One epoch of a 200-wide batch-norm layer over 8 features draws
+        1.7 KB of dropout masks per row; runs of whole batches under
+        DROPOUT_RUN_BYTES keep that out of the growth in N, which is left
+        with the epoch's O(N (d + C)) arrays: the permuted X, Y and labels,
+        the head's outputs, the labels, the permutation and the hit count's
+        argmax and comparison."""
+        d, C, n = 8, 3, 1000
+        rng = np.random.default_rng(4)
+        spec = TrainSpec(lr_schedule=((0.01, 1),))
+
+        def peak(rows):
+            net = random_net(rng, [([(PERCEPTRON, 200)], True)], input_dim=d,
+                             n_classes=C)
+            X = rng.normal(size=(rows, d))
+            Y = one_hot(rng.integers(0, C, rows), C)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                finetune(net, (X, Y), None, spec,
+                         TrainableSelection.all_blocks(net))
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        copies_per_row = 8 * (d + 2 * C + 4) + 1
+        assert peak(4 * n) - peak(n) <= 3 * n * copies_per_row
+
+
+class TestTargetChecks:
+    """finetune and evaluate_metrics take [N, C] targets for N >= 1 input
+    rows and the network's C classes, checked before any compute."""
+
+    CASES = {
+        "one column for two classes": (10, lambda Y: Y[:, :1]),
+        "three columns for two classes": (10, lambda Y: np.hstack([Y, Y[:, :1]])),
+        "seven rows for ten inputs": (10, lambda Y: Y[:7]),
+        "1-D targets": (10, lambda Y: Y.argmax(axis=1)),
+    }
+
+    @staticmethod
+    def case(rows, targets):
+        net = build_net(np.random.default_rng(8), PERCEPTRON, n_classes=2)
+        X = np.random.default_rng(9).normal(size=(rows, 3))
+        return net, X, targets(one_hot(np.arange(rows) % 2, 2))
+
+    @staticmethod
+    def no_compute(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("computed before the targets were checked")
+        monkeypatch.setattr(training, "_plan", fail)
+        monkeypatch.setattr(GopNetwork, "forward", fail)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_finetune_rejects_a_target_mismatch(self, name, monkeypatch):
+        net, X, Y = self.case(*self.CASES[name])
+        self.no_compute(monkeypatch)
+        with pytest.raises(DimensionMismatch, match="training data"):
+            finetune(net, (X, Y), None, TrainSpec(),
+                     TrainableSelection.all_blocks(net))
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_finetune_rejects_a_validation_target_mismatch(self, name,
+                                                           monkeypatch):
+        net, X, Y = self.case(*self.CASES[name])
+        _, X_ok, Y_ok = self.case(10, lambda Y: Y)
+        self.no_compute(monkeypatch)
+        with pytest.raises(DimensionMismatch, match="validation data"):
+            finetune(net, (X_ok, Y_ok), (X, Y), TrainSpec(),
+                     TrainableSelection.all_blocks(net))
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_evaluate_metrics_rejects_a_target_mismatch(self, name,
+                                                        monkeypatch):
+        net, X, Y = self.case(*self.CASES[name])
+        self.no_compute(monkeypatch)
+        with pytest.raises(DimensionMismatch, match=r"\[N, C\]"):
+            evaluate_metrics(net, X, Y)
+
+    def test_zero_rows_are_empty_input(self, monkeypatch):
+        net, X, Y = self.case(0, lambda Y: Y)
+        _, X_ok, Y_ok = self.case(10, lambda Y: Y)
+        self.no_compute(monkeypatch)
+        selection = TrainableSelection.all_blocks(net)
+        with pytest.raises(EmptyInput, match="training data"):
+            finetune(net, (X, Y), None, TrainSpec(), selection)
+        with pytest.raises(EmptyInput, match="validation data"):
+            finetune(net, (X_ok, Y_ok), (X, Y), TrainSpec(), selection)
+        with pytest.raises(EmptyInput):
+            evaluate_metrics(net, X, Y)
+
+    def test_matching_targets_train_and_score(self):
+        net, X, Y = self.case(10, lambda Y: Y)
+        log = finetune(net, (X, Y), (X, Y), TrainSpec(lr_schedule=((0.01, 1),)),
+                       TrainableSelection.all_blocks(net))
+        assert (log.rows[0].val_loss, log.rows[0].val_accuracy) == \
+            evaluate_metrics(net, X, Y)
