@@ -20,9 +20,9 @@ from .operators import STD_FLOOR, OperatorSet, PoolOp, neuron_flops
 
 MODEL_FORMAT_VERSION = 1
 
-# Byte budget of one row chunk's nodal tensor in NeuronBlock.forward.  It
-# stays below glibc's default 128 KiB mmap threshold, so the chunk buffers
-# are reused heap memory instead of pages mapped and zero-filled per call.
+# Byte budget of one row chunk's nodal tensor in NeuronBlock.forward and of
+# one run of dropout draws in finetune.  Below glibc's default 128 KiB mmap
+# threshold, those buffers are reused heap memory, not pages mapped per call.
 FORWARD_CHUNK_BYTES = 120 * 1024
 
 
@@ -75,11 +75,11 @@ class NeuronBlock:
                x_out: np.ndarray | None = None):
         """``forward_parts`` over checked inputs, the nodal tensor written
         into ``Z_out`` and the pre-activation into ``x_out`` when given."""
-        k = self.op_set.kernels
-        Z = k.nodal(self.weights[None], inputs[:, :, None], Z_out)
-        x = k.pool(Z, out=x_out)
+        nodal, pool, activation = self.op_set.kernels
+        Z = nodal.forward(self.weights[None], inputs[:, :, None], Z_out)
+        x = pool.forward(Z, out=x_out)
         np.add(x, self.bias, out=x)
-        return Z, x, k.activation(x)
+        return Z, x, activation.forward(x)
 
     def forward(self, inputs: np.ndarray, activate: bool = True,
                 out: np.ndarray | None = None) -> np.ndarray:
@@ -94,16 +94,16 @@ class NeuronBlock:
         without activation).
         """
         inputs = self._checked(inputs)
-        k = self.op_set.kernels
+        nodal, pool, activation = self.op_set.kernels
         rows = max(1, FORWARD_CHUNK_BYTES // (8 * self.fan_in * self.width))
         Z = np.empty((min(rows, len(inputs)), self.fan_in, self.width))
         x = np.empty((len(inputs), self.width)) if out is None else out
         for start in range(0, len(inputs), rows):
             chunk = inputs[start:start + rows, :, None]
-            k.pool(k.nodal(self.weights[None], chunk, Z[:len(chunk)]),
-                   out=x[start:start + rows])
+            pool.forward(nodal.forward(self.weights[None], chunk, Z[:len(chunk)]),
+                         out=x[start:start + rows])
         x += self.bias
-        return k.activation(x) if activate else x
+        return activation.forward(x) if activate else x
 
     def backward(self, inputs: np.ndarray, Z: np.ndarray, x: np.ndarray,
                  dh: np.ndarray, want_inputs: bool, scratch=None, out=None):
@@ -116,13 +116,13 @@ class NeuronBlock:
         None)."""
         G, S, T = scratch if scratch is not None else (
             np.empty_like(Z) for _ in range(3))
-        k = self.op_set.kernels
-        dx = np.multiply(dh, k.activation_grad(x))
+        nodal, pool, activation = self.op_set.kernels
+        dx = np.multiply(dh, activation.grad(x))
         dZ = dx[:, None, :]
         if self.op_set.pool is not PoolOp.SUMMATION:  # its grad is all ones
-            dZ = np.multiply(dZ, k.pool_grad(Z, G, T), out=G)
-        gw, gy = k.nodal_grad(self.weights[None], inputs[:, :, None], Z,
-                              S if want_inputs else None, T)
+            dZ = np.multiply(dZ, pool.grad(Z, G, T), out=G)
+        gw, gy = nodal.grad(self.weights[None], inputs[:, :, None], Z,
+                            S if want_inputs else None, T)
         dW, dbias = out if out is not None else (None, None)
         dW = np.add.reduce(np.multiply(dZ, gw, out=Z), axis=0, out=dW)
         dbias = np.add.reduce(dx, axis=0, out=dbias)
@@ -223,8 +223,10 @@ class GopLayer:
         return np.concatenate([b.forward(inputs) for b in self.blocks], axis=1)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Normalized layer output, [N, width]."""
-        return self.norm.apply(self.raw_forward(inputs))
+        """Normalized layer output, [N, width].  Operator arithmetic
+        saturates rather than warns."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.norm.apply(self.raw_forward(inputs))
 
 
 @dataclass
@@ -272,8 +274,11 @@ class GopNetwork:
         return h
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Linear readout over the last hidden representation, [N, C]."""
-        return self.hidden_forward(inputs) @ self.output_weights + self.output_bias
+        """Linear readout over the last hidden representation, [N, C];
+        like the layers, it saturates rather than warns."""
+        H = self.hidden_forward(inputs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return H @ self.output_weights + self.output_bias
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         return self.forward(inputs).argmax(axis=1)

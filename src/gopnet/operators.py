@@ -5,8 +5,8 @@ Each operator family is one private table keyed by its enum (``_NODAL``,
 analytic derivative for the gradient trainer and its inference FLOPs, so
 each operator is defined in one table entry.  The public functions
 (``nodal_forward``, ``pool_grad_batch``, ``neuron_flops`` ...) are one-line
-lookups into these tables; ``OperatorSet.kernels`` resolves a set's six
-entries once, for callers in hot loops that call them directly.  Forwards
+lookups into these tables; ``OperatorSet.kernels`` hands out a set's three
+entries, for callers in hot loops that call them directly.  Forwards
 are elementwise/broadcasting numpy operations, so the same code path serves
 scalar probes and batched tensors.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -124,14 +124,12 @@ class OperatorSet:
         return f"({self.nodal.value}, {self.pool.value}, {self.activation.value})"
 
     @cached_property
-    def kernels(self) -> "Kernels":
-        """The set's forwards and grads from the operator tables, looked up
-        once per set: calling them skips the public lookups' dict lookup by
-        enum and their ``np.asarray`` (callers pass float arrays)."""
-        nodal, pool = _NODAL[self.nodal], _POOL[self.pool]
-        activation = _ACTIVATION[self.activation]
-        return Kernels(nodal.forward, nodal.grad, pool.forward, pool.grad,
-                       activation.forward, activation.grad)
+    def kernels(self) -> tuple:
+        """The set's (nodal, pool, activation) table entries, looked up once
+        per set: their ``forward`` and ``grad`` skip the public lookups' dict
+        lookup by enum and their ``np.asarray`` (callers pass float arrays)."""
+        return (_NODAL[self.nodal], _POOL[self.pool],
+                _ACTIVATION[self.activation])
 
 
 PERCEPTRON_SET = OperatorSet(NodalOp.MULTIPLICATION, PoolOp.SUMMATION, ActivationOp.SIGMOID)
@@ -154,17 +152,6 @@ class _Op:
     forward: Callable
     grad: Callable
     flops: int | Callable[[int], int]  # pools: a function of fan-in
-
-
-class Kernels(NamedTuple):
-    """One operator set's table entries, with the signatures of the tables."""
-
-    nodal: Callable
-    nodal_grad: Callable
-    pool: Callable
-    pool_grad: Callable
-    activation: Callable
-    activation_grad: Callable
 
 
 # Nodal operators: z = psi(y, w), elementwise over broadcast w and y.

@@ -421,8 +421,7 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
     AllCandidatesFailed to the caller.
     """
     config = ctx.config
-    with np.errstate(over="ignore", invalid="ignore"):
-        X_layer = ctx.X_rows if layer_index == 0 else net.hidden_forward(ctx.X_rows)
+    X_layer = ctx.X_rows if layer_index == 0 else net.hidden_forward(ctx.X_rows)
     fan_in = X_layer.shape[1]
     n_classes = ctx.Y_train.shape[1]
     library = config.library()
@@ -438,8 +437,7 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
             step_library = library
         else:
             step_library = [net.hidden[layer_index].blocks[0].op_set]
-        with np.errstate(over="ignore", invalid="ignore"):
-            existing = net.hidden[layer_index].forward(X_layer) if step > 0 else None
+        existing = net.hidden[layer_index].forward(X_layer) if step > 0 else None
         try:
             found = search_operator_set(
                 width, fan_in, step_library, X_layer, ctx.Y_train, existing,
@@ -702,8 +700,7 @@ def _pop_progression(dataset: Dataset, template, target_mse, epochs,
             break
         if li < len(template) - 1:
             committed.append(shln.hidden[0])
-            with np.errstate(over="ignore", invalid="ignore"):
-                X_cur = shln.hidden[0].forward(X_cur)
+            X_cur = shln.hidden[0].forward(X_cur)
 
     if not met_target:
         report.template_exhausted = True

@@ -8,6 +8,8 @@ by a TrainableSelection are updated; everything else is left bit-identical.
 from __future__ import annotations
 
 import math
+import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -20,6 +22,7 @@ from .errors import (
     NonFiniteLoss,
     UnfitNormalization,
 )
+from . import network
 from .network import GopLayer, GopNetwork, NormMode
 
 BN_MOMENTUM = 0.9
@@ -31,12 +34,6 @@ BN_EPS = 1e-5
 # floored at DIVERGENCE_FLOOR.
 DIVERGENCE_RATIO = 1e3
 DIVERGENCE_FLOOR = 1e-3
-
-# Byte budget of one run of dropout draws in finetune: an epoch draws its
-# masks in runs of whole batches that fit it (at least one batch), so the
-# draw buffer is bounded in N.  Like FORWARD_CHUNK_BYTES it stays below
-# glibc's default 128 KiB mmap threshold.
-DROPOUT_RUN_BYTES = 120 * 1024
 
 
 class LossKind(Enum):
@@ -68,14 +65,21 @@ class TrainSpec:
         if not self.lr_schedule:
             raise ConfigError("lr_schedule must have at least one stage")
         last = None
-        for stage in self.lr_schedule:
+        for i, stage in enumerate(self.lr_schedule):
+            where = f"lr_schedule stage {i} {stage!r}"
+            if not (isinstance(stage, (tuple, list)) and len(stage) == 2
+                    and all(isinstance(v, numbers.Real)
+                            and not isinstance(v, bool) for v in stage)
+                    and isinstance(stage[1], numbers.Integral)):
+                raise ConfigError(f"{where}: expected a pair of a real learning "
+                                  "rate and an integer epoch count")
             lr, epochs = stage
             if not 0 <= lr < np.inf:
-                raise ConfigError("learning rates must be finite and >= 0")
+                raise ConfigError(f"{where}: learning rate must be finite and >= 0")
             if last is not None and lr > last:
-                raise ConfigError("learning rates must be non-increasing")
-            if not 1 <= epochs < np.inf or int(epochs) != epochs:
-                raise ConfigError("epochs per stage must be a whole number >= 1")
+                raise ConfigError(f"{where}: learning rates must be non-increasing")
+            if epochs < 1:
+                raise ConfigError(f"{where}: epochs must be >= 1")
             last = lr
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
@@ -300,26 +304,22 @@ class _LayerPlan:
 
 
 @dataclass
-class _FlatParams:
-    """finetune's rebinding for one call: the arrays it updates are views of
-    one buffer in _param_slots order, and each trained batch-norm layer's
-    running mean and std the two rows of one [2, width] array."""
-
-    values: np.ndarray
-    n_weights: int              # length of the weight-matrix prefix
-    matrices: list              # the weight matrices, which max-norm projects
-    running: list               # per layer, [2, n_live] views of its running stats
-    originals: list             # (owner, name, the caller's array)
-
-
-@dataclass
 class _Plan:
+    """The passes' plan, and its rebinding of the network: the arrays the
+    passes train are views of one buffer, ``values``, in _param_slots order,
+    and each trained batch-norm layer's running mean and std the two rows
+    of one [2, width] array."""
+
     layers: list
     lowest: int                 # lowest layer with a trained block, else past the top
     include_output: bool
+    values: np.ndarray          # flat, in _param_slots order
+    n_weights: int              # length of the weight-matrix prefix
+    matrices: list              # the weight matrices, which max-norm projects
+    running: list               # (running, batch stats) views per live layer
+    originals: list             # (owner, name, the caller's array)
     grad: np.ndarray            # flat, in _param_slots order
     grads: Gradients            # views of grad
-    flat: _FlatParams | None    # the rebinding, if the plan made one
     masked: np.ndarray          # [rows, input_dim] inputs after dropout
     t: np.ndarray               # [rows, C] loss scratch
     dP: np.ndarray              # [rows, C] loss grad w.r.t. the head's output
@@ -365,75 +365,80 @@ def _flat_views(flat: np.ndarray, arrays: list) -> list:
     return views
 
 
-def _plan(net: GopNetwork, selection: TrainableSelection, rows: int,
-          bind: bool = False) -> _Plan:
+@contextmanager
+def _plan(net: GopNetwork, selection: TrainableSelection, rows: int):
     """The plan of passes over at most ``rows`` rows at a time, with a
-    zeroed flat buffer for the grads in _param_slots order.  With ``bind``
-    the plan also makes the rebinding of _FlatParams: the network holds the
-    new views until finetune hands the caller's arrays back."""
+    zeroed flat buffer for the grads in _param_slots order.  From its setup
+    until the block exits, by return or raise, the network holds the plan's
+    views in place of the caller's arrays, which sit untouched; then it
+    holds the caller's arrays again."""
     slots, block_keys, norm_keys = _param_slots(net, selection)
     arrays = [getattr(owner, name) for owner, name in slots]
-    grad = np.zeros(sum(a.size for a in arrays))
-    n_matrices = len(block_keys) + selection.include_output
-    flat = None
-    if bind:
+    originals = [(owner, name, getattr(owner, name)) for owner, name in slots
+                 + [(net.hidden[li].norm, stat) for li in norm_keys
+                    for stat in ("mean", "std")]]
+    try:
+        grad = np.zeros(sum(a.size for a in arrays))
         values = np.empty_like(grad)
-        views = _flat_views(values, arrays)
-        for (owner, name), view, array in zip(slots, views, arrays):
+        value_views = _flat_views(values, arrays)
+        for (owner, name), view, array in zip(slots, value_views, arrays):
             view[...] = array
             setattr(owner, name, view)
-        flat = _FlatParams(values, sum(a.size for a in arrays[:n_matrices]),
-                           views[:n_matrices], [None] * len(net.hidden),
-                           [(owner, name, array) for (owner, name), array
-                            in zip(slots, arrays)])
-    views = _flat_views(grad, arrays)
-    biases = views[n_matrices:]
-    # each trained batch-norm layer's (dscale, dshift) as one [2, width] view
-    norm_start = sum(a.size for a in arrays[:n_matrices + len(block_keys)])
-    norm_grads = {}
-    for li in norm_keys:
-        width = net.hidden[li].width
-        norm_grads[li] = grad[norm_start:norm_start + 2 * width].reshape(2, width)
-        norm_start += 2 * width
-    lowest, first = selection.first_trained(net)
-    scratch = [np.empty(max(rows * layer.fan_in * b.width for layer in net.hidden
-                            for b in layer.blocks)) for _ in range(3)]
-    layers = []
-    for li, layer in enumerate(net.hidden):
-        norm = layer.norm
-        spans = [layer.block_slice(bi) for bi in range(len(layer.blocks))]
-        visit = ([] if li < lowest
-                 else list(range(first if li == lowest else 0, len(spans))))
-        trained = slice(spans[visit[0]].start, layer.width) if visit else None
-        live = trained if norm.mode is NormMode.BATCHNORM else None
-        if bind and live is not None:
-            flat.originals += [(norm, "mean", norm.mean), (norm, "std", norm.std)]
-            stats = np.stack([norm.mean, norm.std])
-            norm.mean, norm.std = stats
-            flat.running[li] = stats[:, live]
-        frozen = slice(0, layer.width if live is None else live.start)
-        shapes = [(rows, layer.fan_in, b.width) for b in layer.blocks]
-        bn = None if live is None else _BatchNorm.new(
-            rows, live.stop - live.start, norm_grads[li][:, live])
-        layers.append(_LayerPlan(
-            spans, visit, live,
-            None if live is None else (norm.scale[live], norm.shift[live]),
-            (frozen, norm.scale[frozen], norm.mean[frozen], norm.std[frozen],
-             norm.shift[frozen]) if frozen.stop > 0 else None,
-            (trained, norm.scale[trained] / norm.std[trained])
-            if trained is not None and live is None else None,
-            [np.empty(shape) for shape in shapes],
-            [np.empty((rows, b.width)) for b in layer.blocks],
-            [tuple(f[:np.prod(shape)].reshape(shape) for f in scratch)
-             for shape in shapes],
-            *(np.empty((rows, layer.width)) for _ in range(4)), bn))
-    grads = Gradients(
-        dict(zip(block_keys, zip(views, biases))),
-        {li: tuple(layers[li].bn.grads) for li in norm_keys},
-        (views[n_matrices - 1], views[-1]) if selection.include_output else None)
-    return _Plan(layers, lowest, selection.include_output, grad, grads, flat,
-                 np.empty((rows, net.input_dim)),
-                 *(np.empty((rows, net.n_classes)) for _ in range(2)))
+        n_matrices = len(block_keys) + selection.include_output
+        views = _flat_views(grad, arrays)
+        biases = views[n_matrices:]
+        # each trained batch-norm layer's (dscale, dshift) as one [2, width] view
+        norm_start = sum(a.size for a in arrays[:n_matrices + len(block_keys)])
+        norm_grads = {}
+        for li in norm_keys:
+            width = net.hidden[li].width
+            norm_grads[li] = grad[norm_start:norm_start + 2 * width].reshape(2, width)
+            norm_start += 2 * width
+        lowest, first = selection.first_trained(net)
+        scratch = [np.empty(max(rows * layer.fan_in * b.width
+                                for layer in net.hidden for b in layer.blocks))
+                   for _ in range(3)]
+        layers, running = [], []
+        for li, layer in enumerate(net.hidden):
+            norm = layer.norm
+            spans = [layer.block_slice(bi) for bi in range(len(layer.blocks))]
+            visit = ([] if li < lowest
+                     else list(range(first if li == lowest else 0, len(spans))))
+            trained = slice(spans[visit[0]].start, layer.width) if visit else None
+            live = trained if norm.mode is NormMode.BATCHNORM else None
+            bn = None if live is None else _BatchNorm.new(
+                rows, live.stop - live.start, norm_grads[li][:, live])
+            if live is not None:
+                stats = np.stack([norm.mean, norm.std])
+                norm.mean, norm.std = stats
+                running.append((stats[:, live], bn.stats))
+            frozen = slice(0, layer.width if live is None else live.start)
+            shapes = [(rows, layer.fan_in, b.width) for b in layer.blocks]
+            layers.append(_LayerPlan(
+                spans, visit, live,
+                None if live is None else (norm.scale[live], norm.shift[live]),
+                (frozen, norm.scale[frozen], norm.mean[frozen], norm.std[frozen],
+                 norm.shift[frozen]) if frozen.stop > 0 else None,
+                (trained, norm.scale[trained] / norm.std[trained])
+                if trained is not None and live is None else None,
+                [np.empty(shape) for shape in shapes],
+                [np.empty((rows, b.width)) for b in layer.blocks],
+                [tuple(f[:np.prod(shape)].reshape(shape) for f in scratch)
+                 for shape in shapes],
+                *(np.empty((rows, layer.width)) for _ in range(4)), bn))
+        grads = Gradients(
+            dict(zip(block_keys, zip(views, biases))),
+            {li: tuple(layers[li].bn.grads) for li in norm_keys},
+            (views[n_matrices - 1], views[-1]) if selection.include_output
+            else None)
+        yield _Plan(layers, lowest, selection.include_output, values,
+                    sum(a.size for a in arrays[:n_matrices]),
+                    value_views[:n_matrices], running, originals, grad, grads,
+                    np.empty((rows, net.input_dim)),
+                    *(np.empty((rows, net.n_classes)) for _ in range(2)))
+    finally:
+        for owner, name, array in originals:
+            setattr(owner, name, array)
 
 
 def _forward_train(net: GopNetwork, X: np.ndarray, plan: _Plan,
@@ -495,8 +500,8 @@ def training_loss(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
     """
     selection.validate(net)
     X, Y = _checked_targets(net, X, Y)
-    plan = _plan(net, selection, len(X))
-    return _loss(_forward_train(net, X, plan), Y, loss, plan.t)
+    with _plan(net, selection, len(X)) as plan:
+        return _loss(_forward_train(net, X, plan), Y, loss, plan.t)
 
 
 def backward(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
@@ -505,9 +510,9 @@ def backward(net: GopNetwork, X: np.ndarray, Y: np.ndarray,
     """Exact loss gradients for every selected parameter (no dropout)."""
     selection.validate(net)
     X, Y = _checked_targets(net, X, Y)
-    plan = _plan(net, selection, len(X))
-    _loss(_forward_train(net, X, plan), Y, loss, plan.t, plan.dP)
-    return _backward(net, plan.dP, plan)
+    with _plan(net, selection, len(X)) as plan:
+        _loss(_forward_train(net, X, plan), Y, loss, plan.t, plan.dP)
+        return _backward(net, plan.dP, plan)
 
 
 def _backward(net: GopNetwork, dP: np.ndarray, plan: _Plan) -> Gradients:
@@ -568,18 +573,18 @@ def _backward(net: GopNetwork, dP: np.ndarray, plan: _Plan) -> Gradients:
 # SGD loop
 # ---------------------------------------------------------------------------
 
-def _apply_update(flat: _FlatParams, grad: np.ndarray, lr: float,
-                  decay: float, limit: float | None, epoch: int) -> None:
-    """One SGD step over every trained parameter; ``grad`` is consumed."""
+def _apply_update(plan: _Plan, lr: float, decay: float, limit: float | None,
+                  epoch: int) -> None:
+    """One SGD step over every trained parameter; ``plan.grad`` is consumed."""
     # no decay term at lam == 0: for finite W, dW + 0 * W differs from dW
     # only in the sign of a zero, which W - lr * dW does not keep
-    values, head = flat.values, flat.n_weights
+    values, grad, head = plan.values, plan.grad, plan.n_weights
     if decay:
         grad[:head] += decay * values[:head]
     np.multiply(grad, lr, out=grad)
     np.subtract(values, grad, out=values)
     if limit is not None:
-        for W in flat.matrices:
+        for W in plan.matrices:
             _project_rows(W, limit, epoch)
 
 
@@ -595,18 +600,17 @@ def _project_rows(W: np.ndarray, limit: float, epoch: int) -> None:
 
 
 def _update_running_stats(plan: _Plan) -> None:
-    for stats, lp in zip(plan.flat.running, plan.layers):
-        if stats is not None:
-            batch_stats = lp.bn.stats
-            np.multiply(stats, BN_MOMENTUM, out=stats)
-            np.multiply(batch_stats, 1.0 - BN_MOMENTUM, out=batch_stats)
-            np.add(stats, batch_stats, out=stats)
+    for stats, batch_stats in plan.running:
+        np.multiply(stats, BN_MOMENTUM, out=stats)
+        np.multiply(batch_stats, 1.0 - BN_MOMENTUM, out=batch_stats)
+        np.add(stats, batch_stats, out=stats)
 
 
 def _dropout_runs(net: GopNetwork, n: int, spec: TrainSpec):
     """The epoch's batches in runs of whole batches whose dropout draws fit
-    DROPOUT_RUN_BYTES (at least one batch per run), all drawn into one
-    buffer: (rows per run, the full runs' layout, the last run's layout).
+    FORWARD_CHUNK_BYTES (at least one batch per run), all drawn into one
+    buffer, bounded in N: (rows per run, the full runs' layout, the last
+    run's layout).
 
     A layout is (the buffer's view its draws fill, the (view, rate) pairs
     that threshold its masks in place, its batches as (start, stop) within
@@ -619,7 +623,7 @@ def _dropout_runs(net: GopNetwork, n: int, spec: TrainSpec):
         [layer.width for layer in net.hidden] if p_hidden > 0 else [])
     per_row, size = sum(widths), spec.batch_size
     run_rows = n if not per_row else min(n, size * max(
-        1, DROPOUT_RUN_BYTES // (8 * per_row * size)))
+        1, network.FORWARD_CHUNK_BYTES // (8 * per_row * size)))
     draws = np.empty(run_rows * per_row)
 
     def layout(rows):
@@ -677,15 +681,11 @@ def finetune(net: GopNetwork, data_train, data_val, spec: TrainSpec,
     X, Y = _checked_targets(net, *data_train, "training data")
     if data_val is not None:
         data_val = _checked_targets(net, *data_val, "validation data")
-    plan = _plan(net, selection, min(spec.batch_size, len(X)), bind=True)
-    try:
+    with _plan(net, selection, min(spec.batch_size, len(X))) as plan:
         log = _sgd(net, X, Y, data_val, spec, plan)
-        for owner, name, array in plan.flat.originals:
+        for owner, name, array in plan.originals:
             array[...] = getattr(owner, name)
-        return log
-    finally:
-        for owner, name, array in plan.flat.originals:
-            setattr(owner, name, array)
+    return log
 
 
 def _sgd(net: GopNetwork, X: np.ndarray, Y: np.ndarray, data_val,
@@ -738,8 +738,7 @@ def _sgd(net: GopNetwork, X: np.ndarray, Y: np.ndarray, data_val,
                                                             DIVERGENCE_FLOOR)
                     loss_sum += batch_loss * rows
                     _backward(net, dP, plan)
-                    _apply_update(plan.flat, plan.grad, lr, decay, limit,
-                                  epoch_index)
+                    _apply_update(plan, lr, decay, limit, epoch_index)
                     _update_running_stats(plan)
             hits = int((P_epoch.argmax(axis=1) == labels_epoch).sum())
             train_loss = loss_sum / n

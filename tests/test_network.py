@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,30 @@ class TestNetworkForward:
         net = random_network(rng)
         X = rng.normal(size=(17, 3))
         assert_array_equal(net.forward(X), net.forward(X))
+
+    def test_inference_saturates_rather_than_warns(self):
+        """sin(inf) is invalid and 2 * 1e308 overflows in the block, the
+        normalization overflows on a std of 1e-300, and inf @ 0 is invalid
+        in the head: each inference entry point runs through them without a
+        warning and returns the bits it returns under np.errstate."""
+        op = OperatorSet(NodalOp.HARMONIC, PoolOp.SUMMATION, ActivationOp.TANH)
+        block = NeuronBlock(op, np.array([[1.0, -0.5], [0.5, 2.0]]),
+                            np.zeros(2))
+        norm = identity_norm(2)
+        norm.scale[0], norm.std[0] = 1e308, 1e-300
+        layer = GopLayer([block], norm)
+        net = GopNetwork(2, [layer], np.array([[0.0, 1.0], [0.0, 1.0]]),
+                         np.zeros(2))
+        X = np.array([[np.inf, 1.0], [1e308, 1e308]])
+        calls = (net.predict, net.forward, net.hidden_forward, layer.forward)
+        with np.errstate(all="ignore"):
+            want = [call(X) for call in calls]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [call(X) for call in calls]
+        for ours, reference in zip(got, want):
+            assert ours.dtype == reference.dtype
+            assert ours.tobytes() == reference.tobytes()
 
     def test_perceptron_network_matches_hand_rolled_mlp(self, rng):
         w1 = rng.normal(size=(4, 6))

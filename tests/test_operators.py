@@ -603,7 +603,7 @@ class TestGradChainsKeepTheirBytes:
         assert same_bytes(got[True][2], want_dinputs)
 
 
-# The bound kernels a block calls directly, and the bare ufunc reductions
+# The table entries a block calls directly, and the bare ufunc reductions
 # and clip the hot paths call in place of numpy's Python wrappers, must give
 # the bits of the public lookups and of those wrappers.
 
@@ -629,34 +629,29 @@ def op_sets_with(op):
 class TestBoundKernels:
     def test_resolved_once_per_set_from_the_tables(self):
         for op_set in enumerate_operator_sets():
-            k = op_set.kernels
-            assert k is op_set.kernels
-            assert (k.nodal, k.nodal_grad) == (_NODAL[op_set.nodal].forward,
-                                               _NODAL[op_set.nodal].grad)
-            assert (k.pool, k.pool_grad) == (_POOL[op_set.pool].forward,
-                                             _POOL[op_set.pool].grad)
-            assert (k.activation, k.activation_grad) == (
-                _ACTIVATION[op_set.activation].forward,
-                _ACTIVATION[op_set.activation].grad)
+            nodal, pool, activation = op_set.kernels
+            assert op_set.kernels is op_set.kernels
+            assert nodal is _NODAL[op_set.nodal]
+            assert pool is _POOL[op_set.pool]
+            assert activation is _ACTIVATION[op_set.activation]
 
     @pytest.mark.parametrize("op", list(NodalOp))
     @given(Z=block_tensors(), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_nodal_kernels(self, op, Z, data):
-        k = op_sets_with(op).kernels
+        nodal = op_sets_with(op).kernels[0]
         w = data.draw(hnp.arrays(float, Z.shape[1:], elements=GRAD_OPERAND))
         y = Z[:, :, 0]
         with np.errstate(all="ignore"):
-            assert same_bytes(k.nodal(w[None], y[:, :, None]),
+            assert same_bytes(nodal.forward(w[None], y[:, :, None]),
                               nodal_forward(op, w[None], y[:, :, None]))
             out = garbage(Z.shape)
-            assert same_bytes(k.nodal(w[None], y[:, :, None], out),
+            assert same_bytes(nodal.forward(w[None], y[:, :, None], out),
                               nodal_forward(op, w[None], y[:, :, None]))
             for want_y in (False, True):
                 buffers = [garbage(Z.shape, i) for i in range(3)]
-                gw, gy = k.nodal_grad(w[None], y[:, :, None], buffers[0],
-                                      buffers[1] if want_y else None,
-                                      buffers[2])
+                gw, gy = nodal.grad(w[None], y[:, :, None], buffers[0],
+                                    buffers[1] if want_y else None, buffers[2])
                 want_gw, want_gy = nodal_grad(op, w[None], y[:, :, None],
                                               want_y)
                 assert same_bytes(np.broadcast_to(gw, Z.shape),
@@ -670,34 +665,34 @@ class TestBoundKernels:
     @given(Z=block_tensors())
     @settings(max_examples=80, deadline=None)
     def test_pool_kernels(self, op, Z):
-        k = op_sets_with(op).kernels
+        pool = op_sets_with(op).kernels[1]
         with np.errstate(all="ignore"):
             want = pool_forward_batch(op, Z)
-            assert same_bytes(k.pool(Z), want)
+            assert same_bytes(pool.forward(Z), want)
             # into a reused buffer of either order, from a C-ordered tensor
             # as every nodal forward makes (from an F-ordered one, a C-ordered
             # output would move the sum order)
             C = np.ascontiguousarray(Z)
             for order in "CF":
                 out = np.asarray(garbage((Z.shape[0], Z.shape[2])), order=order)
-                assert k.pool(C, out=out) is out
+                assert pool.forward(C, out=out) is out
                 assert same_bytes(out, pool_forward_batch(op, C))
-            assert same_bytes(k.pool_grad(Z, garbage(Z.shape, 1),
-                                          garbage(Z.shape, 2)),
+            assert same_bytes(pool.grad(Z, garbage(Z.shape, 1),
+                                        garbage(Z.shape, 2)),
                               pool_grad_batch(op, Z))
         if op is PoolOp.MAXIMUM:  # a tie goes to the first maximal index
-            assert same_bytes(k.pool_grad(Z, garbage(Z.shape), garbage(Z.shape)),
+            assert same_bytes(pool.grad(Z, garbage(Z.shape), garbage(Z.shape)),
                               put_along_axis_maximum_grad(Z))
 
     @pytest.mark.parametrize("op", list(ActivationOp))
     @given(Z=block_tensors())
     @settings(max_examples=60, deadline=None)
     def test_activation_kernels(self, op, Z):
-        k = op_sets_with(op).kernels
+        activation = op_sets_with(op).kernels[2]
         x = Z[:, 0, :]
         with np.errstate(all="ignore"):
-            assert same_bytes(k.activation(x), activation_forward(op, x))
-            assert same_bytes(k.activation_grad(x), activation_grad(op, x))
+            assert same_bytes(activation.forward(x), activation_forward(op, x))
+            assert same_bytes(activation.grad(x), activation_grad(op, x))
 
     @given(Z=block_tensors())
     @settings(max_examples=150, deadline=None)

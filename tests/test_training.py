@@ -32,7 +32,7 @@ from gopnet.operators import (
     pool_forward_batch,
     pool_grad_batch,
 )
-from gopnet import training
+from gopnet import network, training
 from gopnet.ridge import solve_ridge
 from gopnet.training import (
     Decay,
@@ -414,6 +414,12 @@ class TestFinetune:
         for lr in (float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 TrainSpec(lr_schedule=((lr, 5),)).validate()
+        # malformed stages: a triple, a single, a bare rate, a boolean epoch
+        # count and a string rate, each named in the message
+        for schedule in (((0.1, 2, 3),), ((0.1,),), (0.1,), ((0.1, True),),
+                         (("0.1", 2),)):
+            with pytest.raises(ConfigError, match="lr_schedule stage 0"):
+                TrainSpec(lr_schedule=schedule).validate()
         with pytest.raises(ConfigError):
             TrainSpec(dropout_hidden=1.0).validate()
         for reg in (MaxNorm(-1.0), MaxNorm(0.0), MaxNorm(float("inf")),
@@ -636,11 +642,18 @@ class ReferenceLayerPlan:
 
 
 @dataclass
+class ReferenceGradients:
+    blocks: dict
+    norm: dict
+    output: tuple | None
+
+
+@dataclass
 class ReferencePlan:
     layers: list
     lowest: int
     include_output: bool
-    grads: training.Gradients
+    grads: ReferenceGradients
 
 
 @dataclass
@@ -654,8 +667,43 @@ class ReferenceCache:
     drop_mask: np.ndarray | None
 
 
+def reference_slots(net, selection):
+    """(owner, name) of every trained array in flat-buffer order, and the
+    keys of the trained blocks and batch-norm layers: weight matrices (the
+    trained blocks from the top layer down, then the output map), the block
+    biases in the same order, each trained batch-norm layer's scale and
+    shift, the output bias."""
+    lowest, first = selection.first_trained(net)
+    blocks, norm_keys = {}, []
+    for li in range(len(net.hidden) - 1, lowest - 1, -1):
+        layer = net.hidden[li]
+        for bi in range(first if li == lowest else 0, len(layer.blocks)):
+            blocks[li, bi] = layer.blocks[bi]
+        if layer.norm.mode is NormMode.BATCHNORM:
+            norm_keys.append(li)
+    output = ([(net, "output_weights"), (net, "output_bias")]
+              if selection.include_output else [])
+    slots = ([(b, "weights") for b in blocks.values()] + output[:1]
+             + [(b, "bias") for b in blocks.values()]
+             + [(net.hidden[li].norm, name) for li in norm_keys
+                for name in ("scale", "shift")]
+             + output[1:])
+    return slots, list(blocks), norm_keys
+
+
+def reference_views(flat, arrays):
+    """Consecutive views of ``flat`` shaped, and ordered in memory, as
+    ``arrays``."""
+    views, start = [], 0
+    for a in arrays:
+        order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
+        views.append(flat[start:start + a.size].reshape(a.shape, order=order))
+        start += a.size
+    return views
+
+
 def reference_plan(net, selection, rows):
-    slots, block_keys, norm_keys = training._param_slots(net, selection)
+    slots, block_keys, norm_keys = reference_slots(net, selection)
     arrays = [getattr(owner, name) for owner, name in slots]
     grad = np.zeros(sum(a.size for a in arrays))
     n_matrices = len(block_keys) + selection.include_output
@@ -682,10 +730,10 @@ def reference_plan(net, selection, rows):
             [np.empty(shape) for shape in shapes],
             [tuple(f[:np.prod(shape)].reshape(shape) for f in scratch)
              for shape in shapes]))
-    views = training._flat_views(grad, arrays)
+    views = reference_views(grad, arrays)
     biases = views[n_matrices:]
     norm_grads = biases[len(block_keys):len(block_keys) + 2 * len(norm_keys)]
-    grads = training.Gradients(
+    grads = ReferenceGradients(
         dict(zip(block_keys, zip(views, biases))),
         {li: (dscale[layers[li].live], dshift[layers[li].live])
          for li, dscale, dshift in zip(norm_keys, norm_grads[::2],
@@ -1055,7 +1103,7 @@ class TestPerEpochLoop:
     @settings(max_examples=60, deadline=None)
     def test_dropout_runs_keep_the_bits(self, case, budget):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(training, "DROPOUT_RUN_BYTES", budget)
+            patch.setattr(network, "FORWARD_CHUNK_BYTES", budget)
             check_against_per_batch(case)
 
     def test_a_raise_hands_back_the_held_arrays(self):
@@ -1075,6 +1123,52 @@ class TestPerEpochLoop:
         assert all(a is b for a, b in zip(after, held))
         # the epoch's updates, running statistics included, are gone
         assert_same_bits(after, before)
+
+
+class TestPlanHandsBack:
+    """backward, training_loss and finetune run on one plan kind: from its
+    setup until it exits, the network holds views of one flat buffer in
+    place of the trained arrays and running statistics, and then the
+    caller's arrays again, with their bytes (backward and training_loss
+    change no value)."""
+
+    @staticmethod
+    def case():
+        # two batch-norm layers, a start block in the middle of layer 0, so
+        # both layers' running mean and std are rebound too
+        rng = np.random.default_rng(31)
+        net = random_net(rng, [([(OPS[1], 2), (PERCEPTRON, 3)], True),
+                               ([(OPS[2], 2)], True)])
+        X = rng.normal(size=(7, 3))
+        return net, X, one_hot(rng.integers(0, 3, 7), 3)
+
+    @pytest.mark.parametrize("call", [backward, training_loss])
+    def test_the_passes_hand_back_every_array(self, call):
+        net, X, Y = self.case()
+        held = held_arrays(net)
+        before = [a.copy() for a in held]
+        call(net, X, Y, TrainableSelection((0, 1)), LossKind.CROSS_ENTROPY)
+        assert all(a is b for a, b in zip(held_arrays(net), held))
+        assert_same_bits(held_arrays(net), before)
+
+    def test_a_raise_in_the_setup_hands_back_every_array(self, monkeypatch):
+        def fail(*args):
+            raise MemoryError("no buffers")
+        # raised after the setup rebound the trained arrays and layer 0's
+        # running statistics
+        monkeypatch.setattr(training, "_LayerPlan", fail)
+        net, X, Y = self.case()
+        held = held_arrays(net)
+        before = [a.copy() for a in held]
+        selection = TrainableSelection((0, 1))
+        for call in (lambda: backward(net, X, Y, selection),
+                     lambda: training_loss(net, X, Y, selection),
+                     lambda: finetune(net, (X, Y), None, TrainSpec(),
+                                      selection)):
+            with pytest.raises(MemoryError):
+                call()
+            assert all(a is b for a, b in zip(held_arrays(net), held))
+            assert_same_bits(held_arrays(net), before)
 
 
 def overflow_case():
@@ -1115,7 +1209,7 @@ class TestFinetuneMemory:
     def test_peak_grows_with_n_only_by_the_permuted_copies(self):
         """One epoch of a 200-wide batch-norm layer over 8 features draws
         1.7 KB of dropout masks per row; runs of whole batches under
-        DROPOUT_RUN_BYTES keep that out of the growth in N, which is left
+        FORWARD_CHUNK_BYTES keep that out of the growth in N, which is left
         with the epoch's O(N (d + C)) arrays: the permuted X, Y and labels,
         the head's outputs, the labels, the permutation and the hit count's
         argmax and comparison."""
