@@ -395,25 +395,21 @@ def _summarize(seeds, summaries) -> dict:
 def cmd_eval(args) -> int:
     net = load_model(args.model)
     if args.config:
-        run = parse_run_config(
-            apply_overrides(load_run_config(args.config), args.set))
-        ds = prepare_dataset(run, load_dataset(run), run.seed)
-        split = args.split
-        if not ds.has_split(split):
-            raise ConfigError(f"dataset has no {split!r} split")
-        X, Y = ds.X_split(split), ds.targets(split)
+        cfg, split = load_run_config(args.config), args.split
     elif args.data:
-        # every row is scored, standardized by the file's own statistics
-        run = parse_run_config(apply_overrides(_merge(DEFAULT_CONFIG, {
+        # every row in file order, standardized by the file's own statistics
+        cfg, split = _merge(DEFAULT_CONFIG, {
             "dataset": {"path": args.data, "label_column": _label_col(args),
                         "header": not args.no_header,
-                        "standardize_features": args.standardize}}), args.set))
-        ds = load_dataset(run)
-        if run.dataset["standardize_features"]:
-            ds = apply_feature_standardization(ds)
-        X, Y = ds.X_split("train"), ds.targets("train")
+                        "standardize_features": args.standardize},
+            "split": {"train": 1.0, "val": 0.0, "test": 0.0}}), "train"
     else:
         raise ConfigError("eval needs --config or --data")
+    run = parse_run_config(apply_overrides(cfg, args.set))
+    ds = prepare_dataset(run, load_dataset(run), run.seed)
+    if not ds.has_split(split):
+        raise ConfigError(f"dataset has no {split!r} split")
+    X, Y = ds.X_split(split), ds.targets(split)
     if X.shape[1] != net.input_dim:
         raise DimensionMismatch(
             f"model expects {net.input_dim} features, data has {X.shape[1]}")

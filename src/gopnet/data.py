@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,7 +75,7 @@ def load_csv(path: str, label_column="label", header: bool = True) -> Dataset:
 
     Labels are mapped to 0..C-1 in first-appearance order.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [row for row in rows if row]
     if not rows:
@@ -103,51 +104,46 @@ def load_csv(path: str, label_column="label", header: bool = True) -> Dataset:
         label_idx = names.index(label_column)
     if width < 2:
         raise ConfigError(f"{path}: no feature columns, only the label column")
-    feature_names = None
-    if names is not None:
-        feature_names = [n for i, n in enumerate(names) if i != label_idx]
+    columns = [c for c in range(width) if c != label_idx]
 
-    labels: list = []
     label_order: dict = {}
+    labels = [label_order.setdefault(row[label_idx].strip(), len(label_order))
+              for row in rows]
     features = np.empty((len(rows), width - 1))
     for r, row in enumerate(rows):
-        col_out = 0
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                token = cell.strip()
-                if token not in label_order:
-                    label_order[token] = len(label_order)
-                labels.append(label_order[token])
-                continue
+        for j, c in enumerate(columns):
             try:
-                value = float(cell)
+                value = float(row[c])
             except ValueError:
-                data_row = r + (2 if header else 1)
+                value = None
+            if value is None or not math.isfinite(value):
+                kind = "non-numeric" if value is None else "non-finite"
                 raise ParseError(
-                    f"{path}: non-numeric value {cell!r} at row {data_row}, "
-                    f"column {c + 1}") from None
-            features[r, col_out] = value
-            col_out += 1
+                    f"{path}: {kind} value {row[c]!r} at row "
+                    f"{r + (2 if header else 1)}, column {c + 1}")
+            features[r, j] = value
     return Dataset(features, np.asarray(labels), len(label_order),
-                   feature_names=feature_names,
+                   feature_names=names and [names[c] for c in columns],
                    label_names=list(label_order))
 
 
 def apply_feature_standardization(ds: Dataset) -> Dataset:
     """Z-score all features with mean/std fitted on the train split only,
-    std floored at STD_FLOOR; a feature whose mean or std overflows is a
-    ConfigError that names it."""
+    std floored at STD_FLOOR; a feature whose mean, std or any standardized
+    value is not finite is a ConfigError that names it."""
     X_train = ds.X_split("train")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = X_train.mean(axis=0)
         std = X_train.std(axis=0)
-    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+        X = (ds.X - mean) / np.maximum(std, STD_FLOOR)
+    bad = np.flatnonzero(~(np.isfinite(X).all(axis=0) & np.isfinite(mean)
+                           & np.isfinite(std)))
     if bad.size:
         j = int(bad[0])
         name = repr(ds.feature_names[j]) if ds.feature_names else f"at index {j}"
-        raise ConfigError(f"feature {name} cannot be standardized: its mean or "
-                          "std overflows")
-    return replace(ds, X=(ds.X - mean) / np.maximum(std, STD_FLOOR))
+        raise ConfigError(f"feature {name} cannot be standardized: its mean, "
+                          "std or a standardized value is not finite")
+    return replace(ds, X=X)
 
 
 def split_dataset(ds: Dataset, fractions, seed: int = 0,
@@ -159,26 +155,21 @@ def split_dataset(ds: Dataset, fractions, seed: int = 0,
     remainder so exact proportions are honored whenever possible.
     """
     fracs = {name: float(fractions.get(name, 0.0)) for name in SPLIT_NAMES}
-    if any(f < 0 for f in fracs.values()):
-        raise ConfigError("split fractions must be non-negative")
+    if not all(f >= 0 for f in fracs.values()):
+        raise ConfigError(f"split fractions must be non-negative, got {fracs}")
     if abs(sum(fracs.values()) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {sum(fracs.values())}")
     rng = np.random.default_rng(seed)
-    active = [name for name in SPLIT_NAMES if fracs[name] > 0]
+    active = sum(f > 0 for f in fracs.values())
+    groups = ([np.flatnonzero(ds.y == cls) for cls in range(ds.n_classes)]
+              if stratified else [np.arange(ds.n_samples)])
     assigned = {name: [] for name in SPLIT_NAMES}
-    if stratified:
-        for cls in range(ds.n_classes):
-            idx = np.flatnonzero(ds.y == cls)
-            if len(idx) < len(active):
-                raise ClassTooSmall(
-                    f"class {cls} has {len(idx)} samples, cannot stratify "
-                    f"across {len(active)} splits")
-            rng.shuffle(idx)
-            for name, chunk in zip(SPLIT_NAMES, _apportion(len(idx), fracs)):
-                assigned[name].extend(idx[:chunk])
-                idx = idx[chunk:]
-    else:
-        idx = rng.permutation(ds.n_samples)
+    for cls, idx in enumerate(groups):
+        if stratified and len(idx) < active:
+            raise ClassTooSmall(
+                f"class {cls} has {len(idx)} samples, cannot stratify "
+                f"across {active} splits")
+        rng.shuffle(idx)
         for name, chunk in zip(SPLIT_NAMES, _apportion(len(idx), fracs)):
             assigned[name].extend(idx[:chunk])
             idx = idx[chunk:]

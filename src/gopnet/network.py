@@ -66,9 +66,11 @@ class NeuronBlock:
                 f"block expects [N, {self.fan_in}] inputs, got {inputs.shape}")
         return inputs
 
+    @np.errstate(over="ignore", invalid="ignore")
     def forward_parts(self, inputs: np.ndarray):
         """(Z, x, h): nodal tensor [N, fan_in, width], pre-activation and
-        output [N, width] for a batch of inputs."""
+        output [N, width] for a batch of inputs, saturating as ``forward``
+        does."""
         return self._parts(self._checked(inputs))
 
     def _parts(self, inputs: np.ndarray, Z_out: np.ndarray | None = None,
@@ -81,6 +83,7 @@ class NeuronBlock:
         np.add(x, self.bias, out=x)
         return Z, x, activation.forward(x)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def forward(self, inputs: np.ndarray, activate: bool = True,
                 out: np.ndarray | None = None) -> np.ndarray:
         """Pre-normalization block outputs, [N, width], or with
@@ -91,7 +94,8 @@ class NeuronBlock:
         reused buffer; bias and activation then run once over all rows.
         The pre-activations go into ``out``, an [N, width] array, if given.
         The output is bit-identical to ``forward_parts(inputs)[2]`` (``[1]``
-        without activation).
+        without activation).  Operator overflow and invalid values saturate
+        to inf or NaN rather than warn.
         """
         inputs = self._checked(inputs)
         nodal, pool, activation = self.op_set.kernels

@@ -40,6 +40,7 @@ from .training import (
     LossKind,
     TrainableSelection,
     TrainSpec,
+    check_int_fields,
     evaluate_metrics,
     finetune,
     init_batchnorm_from_standardization,
@@ -80,20 +81,16 @@ class ProgressionConfig:
     op_set_indices: tuple | None = None  # restricts the search library (test hook)
 
     def validate(self) -> None:
-        if self.n_min < 1 or self.n_i < 1:
-            raise ConfigError("n_min and n_i must be >= 1")
+        check_int_fields(self, n_min=1, n_i=1, max_layer_width=1,
+                         max_layers=1, seed=0)
         if self.n_min > self.max_layer_width:
             raise ConfigError("n_min exceeds max_layer_width")
         if not (self.eps_n >= 0 and self.eps_l >= 0):
             raise ConfigError("improvement thresholds must be >= 0")
-        if self.max_layers < 1:
-            raise ConfigError("max_layers must be >= 1")
         if not self.c_grid:
             raise ConfigError("c_grid must be non-empty")
         if not all(np.isfinite(c) and c >= 0 for c in self.c_grid):
             raise ConfigError("c_grid entries must be finite and >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
         if self.op_set_indices is not None:
             for idx in self.op_set_indices:
                 if not 0 <= idx < LIBRARY_SIZE:

@@ -51,6 +51,17 @@ class MaxNorm:
     limit: float
 
 
+def check_int_fields(config, **minimums) -> None:
+    """ConfigError naming the first field of ``config`` that is not a
+    non-boolean integer at least its minimum."""
+    for name, least in minimums.items():
+        value = getattr(config, name)
+        if not (isinstance(value, numbers.Integral)
+                and not isinstance(value, bool) and value >= least):
+            raise ConfigError(f"{name} must be an integer >= {least}, "
+                              f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainSpec:
     lr_schedule: tuple = ((0.01, 20), (0.001, 40), (0.0001, 40))
@@ -81,8 +92,7 @@ class TrainSpec:
             if epochs < 1:
                 raise ConfigError(f"{where}: epochs must be >= 1")
             last = lr
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        check_int_fields(self, batch_size=1, seed=0)
         for p in (self.dropout_hidden, self.dropout_input):
             if not 0.0 <= p < 1.0:
                 raise ConfigError("dropout rates must lie in [0, 1)")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gopnet.cli as cli
 from gopnet.cli import DEFAULT_CONFIG, VARIANTS, main
-from gopnet.data import apply_feature_standardization, load_csv
+from gopnet.data import apply_feature_standardization, load_csv, split_dataset
 from gopnet.network import _atomic_write_text, load_model
 from gopnet.progression import ProgressionConfig, run_progression
 from gopnet.synth import as_dataset, two_moons
@@ -140,9 +140,13 @@ class TestTrain:
 
     @pytest.mark.parametrize("text, message", [
         ("x1,x2,label\n1.0,oops,a\n2.0,3.0,b\n", "non-numeric value 'oops'"),
+        ("x1,x2,label\n1.0,2.0,a\n3.0,nan,b\n",
+         "non-finite value 'nan' at row 3, column 2"),
+        ("x1,x2,label\n-inf,2.0,a\n3.0,4.0,b\n",
+         "non-finite value '-inf' at row 2, column 1"),
         ("x1,x2,label\n1.0,2.0,a\n3.0,b\n", "row 3 has 2 cells"),
         ("x1,x2,label\n", "no data rows"),
-    ], ids=["non-numeric", "ragged", "no-rows"])
+    ], ids=["non-numeric", "nan", "inf", "ragged", "no-rows"])
     def test_malformed_csv_exits_2_naming_the_path(self, tmp_path, capsys,
                                                    text, message):
         code, err, out = self._train_on(tmp_path, text, capsys)
@@ -419,6 +423,9 @@ class TestDegenerateCsvs:
              variant="hemlrn", standardize=False, split=ALL_TRAIN)
     @example(text="x0,label\n2.5,c0\n-1.0,c0\n-1.7976931348623157e+308,c0\n",
              variant="pop", standardize=False, split=ALL_TRAIN)
+    # a value outside the train split that standardizing overflows
+    @example(text="x0,label\n0.0,c0\n1.7976931348623157e+308,c0\n0.0,c0\n",
+             variant="hemlgop", standardize=True, split=DEFAULT_CONFIG["split"])
     def test_exits_0_2_or_3_with_one_error_line_and_reruns_exactly(
             self, tmp_path_factory, capsys, text, variant, standardize, split):
         """Under pytest every RuntimeWarning is an error, so a run that
@@ -556,6 +563,23 @@ class TestEval:
         assert (printed["accuracy"], printed["loss"]) == (accuracy, loss)
         assert evaluate_metrics(net, ds.X, ds.targets("train"),
                                 LossKind.MSE)[0] != loss
+
+    def test_eval_on_data_applies_split_overrides(self, trained_run, moons_csv,
+                                                  capsys):
+        """--data scores the train split of the same split and standardize
+        path --config takes, so --set split.* picks the rows scored."""
+        model = os.path.join(trained_run, "model.json")
+        assert main(["eval", "--model", model, "--data", moons_csv,
+                     "--standardize", "--set", "split.train=0.5",
+                     "--set", "split.test=0.5"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        ds = apply_feature_standardization(split_dataset(
+            load_csv(moons_csv), {"train": 0.5, "test": 0.5},
+            seed=DEFAULT_CONFIG["seed"]))
+        loss, accuracy = evaluate_metrics(load_model(model), ds.X_split("train"),
+                                          ds.targets("train"), LossKind.MSE)
+        assert len(ds.splits["train"]) == 80
+        assert (printed["accuracy"], printed["loss"]) == (accuracy, loss)
 
     def test_eval_without_data_source_exits_2(self, trained_run):
         assert main(["eval", "--model",

@@ -65,6 +65,29 @@ class TestLoadCsv:
         ds = load_csv(path)
         assert_array_equal(ds.splits["train"], [0, 1])
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_a_byte_order_mark_is_not_data(self, tmp_path, header):
+        """Excel's "CSV UTF-8" export starts the file with U+FEFF."""
+        text = ("f1,f2,label\n" if header else "") + "1.0,2,a\n3,4.5,b\n"
+        label = "label" if header else 2
+        plain = load_csv(write(tmp_path, text), label_column=label,
+                         header=header)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        bom = load_csv(str(path), label_column=label, header=header)
+        assert (bom.feature_names, bom.label_names) == (plain.feature_names,
+                                                        plain.label_names)
+        assert bom.X.tobytes() == plain.X.tobytes()
+        assert_array_equal(bom.y, plain.y)
+        assert_array_equal(bom.splits["train"], plain.splits["train"])
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_names_value_row_and_column(self, tmp_path, cell):
+        path = write(tmp_path, f"1,2,0\n3,{cell},1\n")
+        with pytest.raises(ParseError, match=f"non-finite value '{cell}' "
+                                             "at row 2, column 2"):
+            load_csv(path, label_column=2, header=False)
+
     def test_label_only_file_has_no_features(self, tmp_path):
         path = write(tmp_path, "label\nx\ny\n")
         with pytest.raises(ConfigError, match="no feature columns"):
@@ -95,6 +118,17 @@ class TestStandardization:
         path = write(tmp_path, ("a,big,label\n" if header else "") + rows)
         ds = load_csv(path, label_column=2, header=header)
         with pytest.raises(ConfigError, match=named):
+            apply_feature_standardization(ds)
+
+    def test_overflowing_standardized_value_names_the_feature(self):
+        """Statistics fitted on the train rows are finite, but dividing a
+        held-out row by the floored std overflows."""
+        X = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 1.7976931348623157e308]])
+        ds = Dataset(X, np.array([0, 1, 0]), 2,
+                     splits={"train": np.array([0, 1]), "test": np.array([2])},
+                     feature_names=["a", "big"])
+        with pytest.raises(ConfigError, match="feature 'big' cannot be "
+                                              "standardized"):
             apply_feature_standardization(ds)
 
     def test_std_is_floored_at_the_hidden_layers_floor(self):
@@ -132,6 +166,13 @@ class TestSplitDataset:
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ConfigError):
             split_dataset(self.make(), {"train": 0.7, "val": 0.2, "test": 0.2})
+
+    @pytest.mark.parametrize("fractions", [
+        {"train": 1.2, "test": -0.2}, {"train": float("nan")},
+        {"train": 1.0, "test": float("nan")}])
+    def test_fractions_must_be_non_negative_numbers(self, fractions):
+        with pytest.raises(ConfigError, match="non-negative"):
+            split_dataset(self.make(), fractions)
 
     def test_splits_are_disjoint_and_cover(self):
         ds = split_dataset(self.make(97, 3),

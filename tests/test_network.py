@@ -268,7 +268,9 @@ class TestNetworkForward:
         net = GopNetwork(2, [layer], np.array([[0.0, 1.0], [0.0, 1.0]]),
                          np.zeros(2))
         X = np.array([[np.inf, 1.0], [1e308, 1e308]])
-        calls = (net.predict, net.forward, net.hidden_forward, layer.forward)
+        calls = (net.predict, net.forward, net.hidden_forward, layer.forward,
+                 block.forward, lambda X: np.concatenate(
+                     [part.ravel() for part in block.forward_parts(X)]))
         with np.errstate(all="ignore"):
             want = [call(X) for call in calls]
         with warnings.catch_warnings():

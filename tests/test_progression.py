@@ -703,6 +703,12 @@ class TestRunProgression:
         for eps in ({"eps_n": float("nan")}, {"eps_l": float("nan")}):
             with pytest.raises(ConfigError):
                 run_progression(ds, fast_config(**eps))
+        # integer fields fail validation, naming the field, before any search
+        for field, value in (("n_min", 2.5), ("n_i", 1.5), ("n_i", False),
+                             ("max_layer_width", 9.0), ("max_layers", 1.5),
+                             ("seed", 1.5), ("seed", -1)):
+            with pytest.raises(ConfigError, match=field):
+                run_progression(ds, fast_config(**{field: value}))
 
 
 def tiny_pop_dataset(seed=0):

@@ -420,6 +420,12 @@ class TestFinetune:
                          (("0.1", 2),)):
             with pytest.raises(ConfigError, match="lr_schedule stage 0"):
                 TrainSpec(lr_schedule=schedule).validate()
+        # integer fields: each failure names the field
+        for field, value in (("batch_size", 2.5), ("batch_size", 0),
+                             ("batch_size", True), ("seed", 1.5),
+                             ("seed", -1), ("seed", "3")):
+            with pytest.raises(ConfigError, match=field):
+                TrainSpec(**{field: value}).validate()
         with pytest.raises(ConfigError):
             TrainSpec(dropout_hidden=1.0).validate()
         for reg in (MaxNorm(-1.0), MaxNorm(0.0), MaxNorm(float("inf")),
