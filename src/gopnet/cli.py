@@ -395,16 +395,18 @@ def _summarize(seeds, summaries) -> dict:
 def cmd_eval(args) -> int:
     net = load_model(args.model)
     if args.config:
-        cfg, split = load_run_config(args.config), args.split
+        cfg = load_run_config(args.config)
     elif args.data:
-        # every row in file order, standardized by the file's own statistics
-        cfg, split = _merge(DEFAULT_CONFIG, {
+        # every row in file order, standardized by the file's own
+        # statistics, unless --set split.* and --split pick other rows
+        cfg = _merge(DEFAULT_CONFIG, {
             "dataset": {"path": args.data, "label_column": _label_col(args),
                         "header": not args.no_header,
                         "standardize_features": args.standardize},
-            "split": {"train": 1.0, "val": 0.0, "test": 0.0}}), "train"
+            "split": {"train": 1.0, "val": 0.0, "test": 0.0}})
     else:
         raise ConfigError("eval needs --config or --data")
+    split = args.split or ("test" if args.config else "train")
     run = parse_run_config(apply_overrides(cfg, args.set))
     ds = prepare_dataset(run, load_dataset(run), run.seed)
     if not ds.has_split(split):
@@ -541,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a saved model")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--config", help="run config providing data and split")
-    p_eval.add_argument("--split", default="test")
+    p_eval.add_argument("--split", help="split to score: test with --config, "
+                        "train with --data")
     p_eval.add_argument("--data", help="CSV file to evaluate on directly")
     p_eval.add_argument("--label-column", default="label")
     p_eval.add_argument("--no-header", action="store_true")

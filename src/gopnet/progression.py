@@ -10,6 +10,7 @@ with vs. without per-step backprop.
 from __future__ import annotations
 
 import copy
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -40,7 +41,7 @@ from .training import (
     LossKind,
     TrainableSelection,
     TrainSpec,
-    check_int_fields,
+    check_fields,
     evaluate_metrics,
     finetune,
     init_batchnorm_from_standardization,
@@ -81,8 +82,10 @@ class ProgressionConfig:
     op_set_indices: tuple | None = None  # restricts the search library (test hook)
 
     def validate(self) -> None:
-        check_int_fields(self, n_min=1, n_i=1, max_layer_width=1,
-                         max_layers=1, seed=0)
+        check_fields(self, n_min=1, n_i=1, max_layer_width=1, max_layers=1,
+                     seed=0, eps_n=numbers.Real, eps_l=numbers.Real,
+                     rate_metric=Metric, variant=Variant,
+                     c_grid=[numbers.Real], train_spec=TrainSpec)
         if self.n_min > self.max_layer_width:
             raise ConfigError("n_min exceeds max_layer_width")
         if not (self.eps_n >= 0 and self.eps_l >= 0):
@@ -92,6 +95,7 @@ class ProgressionConfig:
         if not all(np.isfinite(c) and c >= 0 for c in self.c_grid):
             raise ConfigError("c_grid entries must be finite and >= 0")
         if self.op_set_indices is not None:
+            check_fields(self, op_set_indices=[0])
             for idx in self.op_set_indices:
                 if not 0 <= idx < LIBRARY_SIZE:
                     raise ConfigError(f"operator set index {idx} out of range")
@@ -252,7 +256,7 @@ def _shared_forward_groups(library, width: int) -> list[list[OperatorSet]]:
     return groups
 
 
-def _candidate_features(width: int, fan_in: int, library, X_layer: np.ndarray,
+def _candidate_features(width: int, library, X_layer: np.ndarray,
                         seed: int, layer_index: int, step_index: int):
     """(op_set, W, b, raw features [N, width]) per candidate, in library order.
 
@@ -270,7 +274,7 @@ def _candidate_features(width: int, fan_in: int, library, X_layer: np.ndarray,
         for op_set in group:
             rng = np.random.default_rng(np.random.SeedSequence(
                 [seed, layer_index, step_index, op_set.index]))
-            draws.append((rng.uniform(-1.0, 1.0, size=(fan_in, width)),
+            draws.append((rng.uniform(-1.0, 1.0, size=(X_layer.shape[1], width)),
                           rng.uniform(-1.0, 1.0, size=width)))
         wide = NeuronBlock(group[0], np.hstack([W for W, _ in draws]),
                            np.concatenate([b for _, b in draws]))
@@ -282,7 +286,7 @@ def _candidate_features(width: int, fan_in: int, library, X_layer: np.ndarray,
                 op_set.activation, pre[:, j * width:(j + 1) * width])
 
 
-def search_operator_set(width: int, fan_in: int, library,
+def search_operator_set(width: int, library,
                         X_layer: np.ndarray, Y: np.ndarray,
                         existing: np.ndarray | None,
                         config: ProgressionConfig,
@@ -307,8 +311,7 @@ def search_operator_set(width: int, fan_in: int, library,
     indices, scores = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for op_set, W, b, H_raw in _candidate_features(
-                width, fan_in, library, X_layer, config.seed, layer_index,
-                step_index):
+                width, library, X_layer, config.seed, layer_index, step_index):
             indices.append(op_set.index)
             mean = H_raw[:n].mean(axis=0)
             std = np.maximum(H_raw[:n].std(axis=0), STD_FLOOR)
@@ -342,29 +345,22 @@ def search_operator_set(width: int, fan_in: int, library,
 
 @dataclass
 class _GrowthContext:
-    X_train: np.ndarray
-    Y_train: np.ndarray
-    X_val: np.ndarray | None
-    Y_val: np.ndarray | None
     config: ProgressionConfig
     report: ProgressionReport
-
-    @property
-    def rate_split(self):
-        if self.X_val is not None:
-            return self.X_val, self.Y_val
-        return self.X_train, self.Y_train
-
-    @property
-    def X_rows(self) -> np.ndarray:  # training rows, then any validation rows
-        return self.X_train if self.X_val is None else np.vstack([self.X_train, self.X_val])
+    train: tuple  # (X, Y)
+    val: tuple | None  # (X, Y), None without a validation split
+    rows: np.ndarray  # the training rows, then any validation rows
 
 
 def _rate_value(net: GopNetwork, ctx: _GrowthContext) -> float:
-    """Metric driving acceptance decisions, on the validation split when present."""
-    Xr, Yr = ctx.rate_split
-    loss, acc = evaluate_metrics(net, Xr, Yr, ctx.config.train_spec.loss)
-    return loss if ctx.config.rate_metric is Metric.MSE else acc
+    """Metric driving acceptance decisions, on the validation split when
+    present; NonFiniteLoss when it is not finite."""
+    X, Y = ctx.val or ctx.train
+    loss, acc = evaluate_metrics(net, X, Y, ctx.config.train_spec.loss)
+    value = loss if ctx.config.rate_metric is Metric.MSE else acc
+    if not np.isfinite(value):
+        raise NonFiniteLoss("non-finite rate metric", epoch=0)
+    return value
 
 
 def _null_baseline(ctx: _GrowthContext) -> float:
@@ -372,57 +368,51 @@ def _null_baseline(ctx: _GrowthContext) -> float:
     in the run's loss, the training target mean (MSE) or the log of the
     training class frequencies as logits (cross-entropy); in accuracy, the
     training majority class."""
-    Xr, Yr = ctx.rate_split
-    mean = ctx.Y_train.mean(axis=0)
+    _, Y_train = ctx.train
+    _, Y = ctx.val or ctx.train
+    mean = Y_train.mean(axis=0)
     if ctx.config.rate_metric is Metric.MSE:
         if ctx.config.train_spec.loss is LossKind.CROSS_ENTROPY:
-            logits = np.broadcast_to(np.log(mean), Yr.shape)
-            return loss_and_grad(logits, Yr, LossKind.CROSS_ENTROPY)[0]
-        return float(np.mean((Yr - mean) ** 2))
-    majority = int(ctx.Y_train.sum(axis=0).argmax())
-    return float(np.mean(Yr.argmax(axis=1) == majority))
+            logits = np.broadcast_to(np.log(mean), Y.shape)
+            return loss_and_grad(logits, Y, LossKind.CROSS_ENTROPY)[0]
+        return float(np.mean((Y - mean) ** 2))
+    majority = int(Y_train.sum(axis=0).argmax())
+    return float(np.mean(Y.argmax(axis=1) == majority))
 
 
 def _commit_candidate(net: GopNetwork | None, layer_index: int,
-                      found: SearchResult, input_dim: int,
-                      n_classes: int) -> GopNetwork:
+                      found: SearchResult, input_dim: int) -> GopNetwork:
     """Attach the winning candidate block and install its ridge solution."""
     block = NeuronBlock(found.op_set, found.weights, found.bias)
-    if net is not None and layer_index < len(net.hidden):
-        layer = net.hidden[layer_index]
-        layer.blocks.append(block)
-        layer.norm.extend(found.mean, found.std)
+    n_classes = found.B.shape[1]
+    if net is None:
+        net = GopNetwork(input_dim, [GopLayer([block])], found.B,
+                         np.zeros(n_classes))
+    elif layer_index < len(net.hidden):
+        net.hidden[layer_index].blocks.append(block)
     else:
-        norm = NormState()
-        norm.extend(found.mean, found.std)
-        layer = GopLayer([block], norm)
-        if net is None:
-            return GopNetwork(input_dim, [layer], found.B,
-                              np.zeros(n_classes))
-        net.hidden.append(layer)
+        net.hidden.append(GopLayer([block]))
+    net.hidden[layer_index].norm.extend(found.mean, found.std)
     net.output_weights = np.ascontiguousarray(found.B, dtype=float)
     net.output_bias = np.zeros(n_classes)
     return net
 
 
 def grow_layer(net: GopNetwork | None, layer_index: int,
-               ctx: _GrowthContext, incoming_baseline: float):
+               ctx: _GrowthContext, baseline: float):
     """Grow one hidden layer blockwise until the improvement rate stalls.
 
     Returns the (possibly newly created) network and the layer's final
     rate-metric value.  The first block is always kept; every later block is
     kept only if its improvement rate clears eps_n, otherwise the network is
     restored bit-exactly to its pre-step state and growth stops.  A step
-    whose finetune diverges, or whose every candidate fails, ends growth the
-    same way; on a layer's first block they propagate NonFiniteLoss and
-    AllCandidatesFailed to the caller.
+    whose finetune or rate metric diverges, or whose every candidate fails,
+    ends growth the same way; on a layer's first block they propagate
+    NonFiniteLoss and AllCandidatesFailed to the caller.
     """
     config = ctx.config
-    X_layer = ctx.X_rows if layer_index == 0 else net.hidden_forward(ctx.X_rows)
-    fan_in = X_layer.shape[1]
-    n_classes = ctx.Y_train.shape[1]
+    X_layer = ctx.rows if layer_index == 0 else net.hidden_forward(ctx.rows)
     library = config.library()
-    baseline = incoming_baseline
     step = 0
     current_width = 0
     while True:
@@ -430,46 +420,31 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
         if current_width + width > config.max_layer_width:
             break
         snapshot = copy.deepcopy(net) if step > 0 else None
-        if step == 0 or config.variant not in _HOMOGENEOUS:
-            step_library = library
-        else:
-            step_library = [net.hidden[layer_index].blocks[0].op_set]
         existing = net.hidden[layer_index].forward(X_layer) if step > 0 else None
         try:
             found = search_operator_set(
-                width, fan_in, step_library, X_layer, ctx.Y_train, existing,
-                config, layer_index, step, ctx.Y_val)
+                width, library, X_layer, ctx.train[1], existing, config,
+                layer_index, step, None if ctx.val is None else ctx.val[1])
         except AllCandidatesFailed:
             if step == 0:
                 raise
             break  # as a rejected step: the layer keeps its blocks so far
-        net = _commit_candidate(net, layer_index, found, ctx.X_train.shape[1],
-                                n_classes)
-        layer = net.hidden[layer_index]
-        diverged = False
-        if config.variant in _STEP_FINETUNED:
-            init_batchnorm_from_standardization(layer)
-            spec = replace(config.train_spec,
-                           seed=derive_seed(config.seed, 1, layer_index, step))
-            try:
-                log = finetune(net, (ctx.X_train, ctx.Y_train),
-                               None if ctx.X_val is None
-                               else (ctx.X_val, ctx.Y_val),
-                               spec, TrainableSelection.newest_block(net))
-            except NonFiniteLoss:
-                diverged = True
-            else:
+        net = _commit_candidate(net, layer_index, found, ctx.train[0].shape[1])
+        try:
+            if config.variant in _STEP_FINETUNED:
+                init_batchnorm_from_standardization(net.hidden[layer_index])
+                spec = replace(config.train_spec,
+                               seed=derive_seed(config.seed, 1, layer_index, step))
+                log = finetune(net, ctx.train, ctx.val, spec,
+                               TrainableSelection.newest_block(net))
                 ctx.report.train_logs.append(
                     (f"layer{layer_index}.step{step}", log))
-        metric_after = float("inf") if diverged else _rate_value(net, ctx)
-        diverged = diverged or not np.isfinite(metric_after)
-        if diverged:
+            metric_after = _rate_value(net, ctx)
+        except NonFiniteLoss:
             if step == 0:
                 raise NonFiniteLoss(
                     f"first block of layer {layer_index} diverged", epoch=0)
-            r_value = -1.0
-            accepted = False
-            metric_after = float("inf")
+            r_value, accepted, metric_after = -1.0, False, float("inf")
         else:
             r_value = _rate_or_zero(baseline, metric_after, config.rate_metric)
             accepted = step == 0 or r_value >= config.eps_n
@@ -477,8 +452,9 @@ def grow_layer(net: GopNetwork | None, layer_index: int,
             layer_index, width, found.candidate_indices, found.candidate_scores,
             found.op_set, float(r_value), accepted, float(metric_after)))
         if not accepted:
-            net = snapshot
-            break
+            return snapshot, baseline
+        if step == 0 and config.variant in _HOMOGENEOUS:
+            library = [found.op_set]
         baseline = metric_after
         current_width += width
         step += 1
@@ -494,14 +470,12 @@ def run_progression(dataset: Dataset, config: ProgressionConfig):
     """
     config.validate()
     started = time.perf_counter()
-    X_train = dataset.X_split("train")
-    Y_train = dataset.targets("train")
-    X_val = Y_val = None
-    if dataset.has_split("val"):
-        X_val = dataset.X_split("val")
-        Y_val = dataset.targets("val")
+    train = dataset.X_split("train"), dataset.targets("train")
+    val = ((dataset.X_split("val"), dataset.targets("val"))
+           if dataset.has_split("val") else None)
     report = ProgressionReport(variant=config.variant.value, seed=config.seed)
-    ctx = _GrowthContext(X_train, Y_train, X_val, Y_val, config, report)
+    rows = train[0] if val is None else np.vstack([train[0], val[0]])
+    ctx = _GrowthContext(config, report, train, val, rows)
 
     # the first layer is always kept, as the first block of a layer is
     net = None
@@ -532,9 +506,7 @@ def run_progression(dataset: Dataset, config: ProgressionConfig):
         init_batchnorm_from_standardization(layer)
     spec = replace(config.train_spec, seed=derive_seed(config.seed, 2))
     try:
-        log = finetune(net, (X_train, Y_train),
-                       None if X_val is None else (X_val, Y_val),
-                       spec, TrainableSelection.all_blocks(net))
+        log = finetune(net, train, val, spec, TrainableSelection.all_blocks(net))
     except NonFiniteLoss:
         # a raise leaves the progressively learned network as it was; the
         # full-network pass is an improvement step, not a requirement

@@ -51,15 +51,39 @@ class MaxNorm:
     limit: float
 
 
-def check_int_fields(config, **minimums) -> None:
-    """ConfigError naming the first field of ``config`` that is not a
-    non-boolean integer at least its minimum."""
-    for name, least in minimums.items():
+_KIND_NAMES = {numbers.Real: "a real number", numbers.Integral: "an integer",
+               type(None): "None"}
+
+
+def _meets(value, rule) -> bool:
+    if isinstance(rule, list):
+        return (isinstance(value, (tuple, list))
+                and all(_meets(entry, rule[0]) for entry in value))
+    if isinstance(rule, int):
+        return _meets(value, numbers.Integral) and value >= rule
+    return isinstance(value, rule) and not isinstance(value, bool)
+
+
+def _describe(rule) -> str:
+    if isinstance(rule, list):
+        return f"a tuple or list of entries each {_describe(rule[0])}"
+    if isinstance(rule, int):
+        return f"an integer >= {rule}"
+    kinds = rule if isinstance(rule, tuple) else (rule,)
+    return " or ".join(_KIND_NAMES.get(k, f"a {k.__name__}") for k in kinds)
+
+
+def check_fields(config, **rules) -> None:
+    """ConfigError naming the first field of ``config`` that breaks its rule.
+
+    An integer rule asks for a non-boolean integer at least that value; a
+    type or tuple of types, for an instance, where a boolean is no number;
+    a one-rule list, for a tuple or list whose every entry meets that rule.
+    """
+    for name, rule in rules.items():
         value = getattr(config, name)
-        if not (isinstance(value, numbers.Integral)
-                and not isinstance(value, bool) and value >= least):
-            raise ConfigError(f"{name} must be an integer >= {least}, "
-                              f"got {value!r}")
+        if not _meets(value, rule):
+            raise ConfigError(f"{name} must be {_describe(rule)}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,16 +116,20 @@ class TrainSpec:
             if epochs < 1:
                 raise ConfigError(f"{where}: epochs must be >= 1")
             last = lr
-        check_int_fields(self, batch_size=1, seed=0)
+        check_fields(self, batch_size=1, seed=0, dropout_hidden=numbers.Real,
+                     dropout_input=numbers.Real, loss=LossKind,
+                     weight_reg=(Decay, MaxNorm, type(None)))
         for p in (self.dropout_hidden, self.dropout_input):
             if not 0.0 <= p < 1.0:
                 raise ConfigError("dropout rates must lie in [0, 1)")
-        if isinstance(self.weight_reg, MaxNorm) and not (
-                0 < self.weight_reg.limit < np.inf):
-            raise ConfigError("max-norm limit must be finite and > 0")
-        if isinstance(self.weight_reg, Decay) and not (
-                0 <= self.weight_reg.lam < np.inf):
-            raise ConfigError("weight decay must be finite and >= 0")
+        if isinstance(self.weight_reg, MaxNorm):
+            check_fields(self.weight_reg, limit=numbers.Real)
+            if not 0 < self.weight_reg.limit < np.inf:
+                raise ConfigError("max-norm limit must be finite and > 0")
+        if isinstance(self.weight_reg, Decay):
+            check_fields(self.weight_reg, lam=numbers.Real)
+            if not 0 <= self.weight_reg.lam < np.inf:
+                raise ConfigError("weight decay must be finite and >= 0")
 
 
 @dataclass(frozen=True)

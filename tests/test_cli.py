@@ -581,6 +581,32 @@ class TestEval:
         assert len(ds.splits["train"]) == 80
         assert (printed["accuracy"], printed["loss"]) == (accuracy, loss)
 
+    def test_eval_on_data_scores_the_split_asked_for(self, trained_run,
+                                                      moons_csv, capsys):
+        model = os.path.join(trained_run, "model.json")
+        halves = ["--standardize", "--set", "split.train=0.5",
+                  "--set", "split.test=0.5"]
+        printed = {}
+        for split in ("train", "test"):
+            assert main(["eval", "--model", model, "--data", moons_csv,
+                         "--split", split] + halves) == 0
+            printed[split] = json.loads(capsys.readouterr().out)
+        ds = apply_feature_standardization(split_dataset(
+            load_csv(moons_csv), {"train": 0.5, "test": 0.5},
+            seed=DEFAULT_CONFIG["seed"]))
+        loss, accuracy = evaluate_metrics(load_model(model), ds.X_split("test"),
+                                          ds.targets("test"), LossKind.MSE)
+        assert (printed["test"]["accuracy"], printed["test"]["loss"]) == (
+            accuracy, loss)
+        assert printed["test"] != printed["train"]
+
+    def test_eval_on_data_without_the_split_asked_for_exits_2(
+            self, trained_run, moons_csv, capsys):
+        model = os.path.join(trained_run, "model.json")
+        assert main(["eval", "--model", model, "--data", moons_csv,
+                     "--split", "val"]) == 2
+        assert "dataset has no 'val' split" in capsys.readouterr().err
+
     def test_eval_without_data_source_exits_2(self, trained_run):
         assert main(["eval", "--model",
                      os.path.join(trained_run, "model.json")]) == 2

@@ -1,6 +1,7 @@
 import copy
 import functools
 import json
+import sys
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -73,6 +74,19 @@ def diverge_step(monkeypatch, seed, layer, step):
     monkeypatch.setattr(progression, "finetune", fake)
 
 
+def nan_after_step(monkeypatch, seed, layer, step):
+    """Let the finetune of (layer, step) return normally, then set its new
+    block's weights to NaN, so only the rate metric that follows sees it."""
+    import gopnet.progression as progression
+
+    def fake(net, data_train, data_val, spec, selection):
+        log = finetune(net, data_train, data_val, spec, selection)
+        if spec.seed == derive_seed(seed, 1, layer, step):
+            net.hidden[layer].blocks[-1].weights[:] = np.nan
+        return log
+    monkeypatch.setattr(progression, "finetune", fake)
+
+
 def final_finetune_as(monkeypatch, final_seed, final):
     """Route the finetune whose spec seed is ``final_seed`` to ``final``."""
     import gopnet.progression as progression
@@ -125,7 +139,7 @@ class TestImprovementRate:
             improvement_rate(0.0, 0.1, Metric.MSE)
 
 
-def per_candidate_search(width, fan_in, library, X_layer, Y, existing,
+def per_candidate_search(width, library, X_layer, Y, existing,
                          config, layer_index, step_index, Y_val=None):
     """search_operator_set as one block forward per candidate: the loop the
     grouped search must reproduce bit for bit."""
@@ -136,7 +150,7 @@ def per_candidate_search(width, fan_in, library, X_layer, Y, existing,
         for op_set in library:
             rng = np.random.default_rng(np.random.SeedSequence(
                 [config.seed, layer_index, step_index, op_set.index]))
-            W = rng.uniform(-1.0, 1.0, size=(fan_in, width))
+            W = rng.uniform(-1.0, 1.0, size=(X_layer.shape[1], width))
             b = rng.uniform(-1.0, 1.0, size=width)
             indices.append(op_set.index)
             H_raw = NeuronBlock(op_set, W, b).forward(X_layer)
@@ -210,8 +224,7 @@ class TestSearchOperatorSet:
         existing = rng.normal(size=(n + n_val, 2)) if with_existing else None
         config = fast_config(seed=seed, rate_metric=metric,
                              op_set_indices=tuple(indices))
-        args = (width, fan_in, config.library(), X, Y, existing, config, 1, 2,
-                Y_val)
+        args = (width, config.library(), X, Y, existing, config, 1, 2, Y_val)
         outcomes = []
         for search in (search_operator_set, per_candidate_search):
             with mock.patch.object(network, "FORWARD_CHUNK_BYTES", budget):
@@ -236,7 +249,7 @@ class TestSearchOperatorSet:
 
     def test_single_set_library_returns_that_set(self):
         config = fast_config(op_set_indices=(77,))
-        found = search_operator_set(4, 3, config.library(), self.X, self.Y,
+        found = search_operator_set(4, config.library(), self.X, self.Y,
                                     None, config, 0, 0)
         assert found.op_set.index == 77
         assert found.candidate_indices == [77]
@@ -244,16 +257,16 @@ class TestSearchOperatorSet:
     def test_same_seed_gives_bitwise_identical_scores(self):
         config = fast_config()
         library = config.library()[:20]
-        a = search_operator_set(4, 3, library, self.X, self.Y, None, config, 0, 0)
-        b = search_operator_set(4, 3, library, self.X, self.Y, None, config, 0, 0)
+        a = search_operator_set(4, library, self.X, self.Y, None, config, 0, 0)
+        b = search_operator_set(4, library, self.X, self.Y, None, config, 0, 0)
         assert a.candidate_scores == b.candidate_scores
         assert_array_equal(a.weights, b.weights)
 
     def test_different_step_changes_draws(self):
         config = fast_config()
         library = config.library()[:5]
-        a = search_operator_set(4, 3, library, self.X, self.Y, None, config, 0, 0)
-        b = search_operator_set(4, 3, library, self.X, self.Y, None, config, 0, 1)
+        a = search_operator_set(4, library, self.X, self.Y, None, config, 0, 0)
+        b = search_operator_set(4, library, self.X, self.Y, None, config, 0, 1)
         assert not np.array_equal(a.weights, b.weights)
 
     def test_candidate_value_error_propagates(self, monkeypatch):
@@ -265,7 +278,7 @@ class TestSearchOperatorSet:
         monkeypatch.setattr(progression, "evaluate_candidate", broken)
         config = fast_config()
         with pytest.raises(ValueError, match="programming error"):
-            search_operator_set(4, 3, config.library()[:3], self.X, self.Y,
+            search_operator_set(4, config.library()[:3], self.X, self.Y,
                                 None, config, 0, 0)
 
     def test_non_finite_committed_features_fail_the_search(self):
@@ -273,14 +286,14 @@ class TestSearchOperatorSet:
         existing = np.ones((80, 2))
         existing[5, 1] = np.nan
         with pytest.raises(AllCandidatesFailed, match="non-finite"):
-            search_operator_set(4, 3, config.library()[:3], self.X, self.Y,
+            search_operator_set(4, config.library()[:3], self.X, self.Y,
                                 existing, config, 0, 1)
         # a NaN in a validation row: rows 80.. of the stacked row set
         X_rows = np.vstack([self.X, self.X[:20]])
         existing = np.ones((100, 2))
         existing[85, 1] = np.nan
         with pytest.raises(AllCandidatesFailed, match="non-finite"):
-            search_operator_set(4, 3, config.library()[:3], X_rows, self.Y,
+            search_operator_set(4, config.library()[:3], X_rows, self.Y,
                                 existing, config, 0, 1, self.Y[:20])
 
     def test_validation_rows_score_candidates(self):
@@ -291,7 +304,7 @@ class TestSearchOperatorSet:
         X_val = rng.uniform(-2, 2, size=(30, 3))
         Y_val = one_hot((X_val[:, 0] > 0).astype(int), 2)
         existing = rng.normal(size=(110, 5))
-        found = search_operator_set(4, 3, library, np.vstack([self.X, X_val]),
+        found = search_operator_set(4, library, np.vstack([self.X, X_val]),
                                     self.Y, existing, config, 0, 1, Y_val)
         scores, fits = [], {}
         with np.errstate(all="ignore"):
@@ -326,7 +339,7 @@ class TestSearchOperatorSet:
     def test_layer_rows_must_match_the_targets(self):
         config = fast_config()
         with pytest.raises(DimensionMismatch):
-            search_operator_set(4, 3, config.library()[:3], self.X, self.Y,
+            search_operator_set(4, config.library()[:3], self.X, self.Y,
                                 None, config, 0, 0, self.Y[:20])
 
     def test_overflow_in_standardization_fails_the_candidate(self):
@@ -335,7 +348,7 @@ class TestSearchOperatorSet:
             NodalOp.MULTIPLICATION, PoolOp.SUMMATION, ActivationOp.RELU).index,))
         X = np.random.default_rng(2).uniform(0.5, 1.0, size=(80, 3)) * 1e307
         with pytest.raises(AllCandidatesFailed, match="all 1"):
-            search_operator_set(4, 3, config.library(), X, self.Y, None,
+            search_operator_set(4, config.library(), X, self.Y, None,
                                 config, 0, 0)
 
     def test_planted_teacher_ranks_near_top(self):
@@ -352,7 +365,7 @@ class TestSearchOperatorSet:
             H = (H - H.mean(axis=0)) / np.maximum(H.std(axis=0), 1e-6)
             Y = H @ rng.normal(size=(width, 2))
             config = fast_config(seed=seed, rate_metric=Metric.MSE)
-            found = search_operator_set(width, 4, config.library(), X, Y, None,
+            found = search_operator_set(width, config.library(), X, Y, None,
                                         config, 0, 0)
             scores = [np.inf if s is None else s for s in found.candidate_scores]
             order = np.argsort(scores)
@@ -454,19 +467,38 @@ class TestGrowthStopping:
             False, -1.0, float("inf"))
         assert net.to_json() == one_block.to_json()
 
+    def test_later_step_non_finite_rate_is_rejected_and_rolled_back(
+            self, monkeypatch):
+        ds = blob_dataset(seed=5)
+        one_block, _ = run_progression(ds, fast_config(
+            seed=5, max_layers=1, max_layer_width=6, rate_metric=Metric.MSE))
+        nan_after_step(monkeypatch, 5, layer=0, step=1)
+        net, report = run_progression(ds, fast_config(
+            seed=5, max_layers=1, rate_metric=Metric.MSE))
+        step = report.steps[1]
+        assert (step.accepted, step.r_value, step.metric_after) == (
+            False, -1.0, float("inf"))
+        assert net.to_json() == one_block.to_json()
+
+    def test_first_block_non_finite_rate_raises(self, monkeypatch):
+        nan_after_step(monkeypatch, 5, layer=0, step=0)
+        with pytest.raises(NonFiniteLoss,
+                           match="first block of layer 0 diverged"):
+            run_progression(blob_dataset(seed=5),
+                            fast_config(seed=5, rate_metric=Metric.MSE))
+
     @staticmethod
     def _fail_search(monkeypatch, layer, step):
         """Make every candidate of (layer, step)'s search fail."""
         import gopnet.progression as progression
 
-        def fake(width, fan_in, library, X_layer, Y, existing, config,
+        def fake(width, library, X_layer, Y, existing, config,
                  layer_index, step_index, Y_val=None):
             if (layer_index, step_index) == (layer, step):
                 raise AllCandidatesFailed(
                     f"all {len(library)} operator-set candidates failed")
-            return search_operator_set(width, fan_in, library, X_layer, Y,
-                                       existing, config, layer_index,
-                                       step_index, Y_val)
+            return search_operator_set(width, library, X_layer, Y, existing,
+                                       config, layer_index, step_index, Y_val)
         monkeypatch.setattr(progression, "search_operator_set", fake)
 
     @pytest.mark.parametrize("variant", [Variant.HEMLGOP, Variant.HOMLRN])
@@ -689,6 +721,23 @@ class TestRunProgression:
         for category in ("nodal", "pool", "activation"):
             assert sum(report.operator_histogram[category].values()) == n_blocks
 
+    def test_finetune_callers_are_the_names_the_bench_tracer_files(
+            self, monkeypatch):
+        """bench/tracer.py files finetune time under step or final by the
+        calling function: grow_layer for each step, run_progression once."""
+        import gopnet.progression as progression
+
+        callers = []
+
+        def recording_finetune(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return finetune(*args)
+        monkeypatch.setattr(progression, "finetune", recording_finetune)
+        _, report = run_progression(blob_dataset(seed=3), fast_config(
+            seed=3, variant=Variant.HEMLGOP))
+        assert len(report.steps) >= 2
+        assert callers == ["grow_layer"] * len(report.steps) + ["run_progression"]
+
     def test_invalid_config_rejected(self):
         ds = blob_dataset(seed=0)
         with pytest.raises(ConfigError):
@@ -709,6 +758,19 @@ class TestRunProgression:
                              ("seed", 1.5), ("seed", -1)):
             with pytest.raises(ConfigError, match=field):
                 run_progression(ds, fast_config(**{field: value}))
+        # typed fields: strings, booleans and non-members name the field
+        for field, value in (("eps_n", "0.1"), ("eps_l", True),
+                             ("rate_metric", "loss"), ("variant", "hemlrn"),
+                             ("c_grid", ("1",)), ("c_grid", 0.1),
+                             ("op_set_indices", (1.5,)),
+                             ("op_set_indices", (True,)),
+                             ("train_spec", {})):
+            with pytest.raises(ConfigError, match=field):
+                run_progression(ds, fast_config(**{field: value}))
+        # a mistyped loss no longer trains and reports cross-entropy
+        with pytest.raises(ConfigError, match="loss"):
+            run_progression(ds, fast_config(
+                train_spec=replace(FAST_SPEC, loss="mse")))
 
 
 def tiny_pop_dataset(seed=0):

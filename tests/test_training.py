@@ -426,6 +426,15 @@ class TestFinetune:
                              ("seed", -1), ("seed", "3")):
             with pytest.raises(ConfigError, match=field):
                 TrainSpec(**{field: value}).validate()
+        # typed fields: a string, a boolean or a mistyped member names the field
+        for field, value in (("dropout_hidden", "0.3"), ("dropout_input", True),
+                             ("loss", "mse"), ("weight_reg", "max-norm")):
+            with pytest.raises(ConfigError, match=field):
+                TrainSpec(**{field: value}).validate()
+        for reg, field in ((MaxNorm("2"), "limit"), (Decay("2"), "lam"),
+                           (MaxNorm(True), "limit")):
+            with pytest.raises(ConfigError, match=field):
+                TrainSpec(weight_reg=reg).validate()
         with pytest.raises(ConfigError):
             TrainSpec(dropout_hidden=1.0).validate()
         for reg in (MaxNorm(-1.0), MaxNorm(0.0), MaxNorm(float("inf")),
