@@ -38,6 +38,9 @@ from .progression import (
     run_progression,
 )
 from .ridge import Metric
+from .schema import (BOOL, FLOAT, FRACTION, INT, OBJECT, POSITIVE_INT, SEED,
+                     TEXT, choice, is_int, known_keys, list_of, nullable,
+                     parse, read_json, typed)
 from .training import (Decay, LossKind, MaxNorm, TrainLogRow, TrainSpec,
                        evaluate_metrics)
 
@@ -48,51 +51,10 @@ VARIANTS = tuple(v.value for v in Variant) + ("pop", "pmlp")
 # Config schema: one typed parser per key
 # ---------------------------------------------------------------------------
 
-def _typed(ok, expected: str, convert=None):
-    """Parser of (value, dotted key): ``convert(value)`` if ``ok(value)``."""
-    def parse(value, path: str):
-        if not ok(value):
-            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
-        return value if convert is None else convert(value)
-    return parse
-
-
-def _is_int(v) -> bool:  # a JSON integer, so no booleans and no fractions
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:  # NaN is no number here
-    return (isinstance(v, float) and v == v
-            or _is_int(v) and abs(v) <= sys.float_info.max)
-
-
-_INT = _typed(_is_int, "an integer")
-_FLOAT = _typed(_is_number, "a number", float)
-_BOOL = _typed(lambda v: isinstance(v, bool), "true or false")
-_TEXT = _typed(lambda v: isinstance(v, str) and v != "", "a non-empty string")
-_SEED = _typed(lambda v: _is_int(v) and v >= 0, "an integer >= 0")
-_POSITIVE_INT = _typed(lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-_FRACTION = _typed(lambda v: _is_number(v) and 0 <= v <= 1,
-                   "a number in [0, 1]", float)
-_OBJECT = _typed(lambda v: isinstance(v, dict), "an object")
-
-
-def _choice(table: dict):
-    return _typed(lambda v: isinstance(v, str) and v in table,
-                  f"one of {tuple(table)}", table.get)
-
-
-def _list_of(item, non_empty: bool = False):
-    check = _typed(lambda v: isinstance(v, list) and len(v) >= non_empty,
-                   "a non-empty list" if non_empty else "a list")
-    return lambda value, path: tuple(
-        item(v, f"{path}[{i}]") for i, v in enumerate(check(value, path)))
-
-
 def _lr_stage(value, path: str) -> tuple:
-    lr, epochs = _typed(lambda v: isinstance(v, list) and len(v) == 2,
-                        "[learning_rate, epochs]")(value, path)
-    return _FLOAT(lr, f"{path}[0]"), _INT(epochs, f"{path}[1]")
+    lr, epochs = typed(lambda v: isinstance(v, list) and len(v) == 2,
+                       "[learning_rate, epochs]")(value, path)
+    return FLOAT(lr, f"{path}[0]"), INT(epochs, f"{path}[1]")
 
 
 _RATE_METRICS = {"loss": Metric.MSE, "accuracy": Metric.ACCURACY}
@@ -100,36 +62,33 @@ _REGULARIZERS = {"none": None, "max-norm": MaxNorm, "decay": Decay}
 
 
 def _weight_reg(value, path: str):
-    """null, {} and kind "none" mean no regularizer; the others take a value.
+    """{} and kind "none" mean no regularizer; the others take a value.
     A value beside kind "none", as merging the default leaves, is ignored."""
-    if value is None:
-        return None
-    _known_keys(_OBJECT(value, path), ("kind", "value"), path)
-    kind = _choice(_REGULARIZERS)(value.get("kind", "none"), f"{path}.kind")
-    return kind and kind(_parse(value, {"kind": _TEXT, "value": _FLOAT},
-                                path)["value"])
+    known_keys(OBJECT(value, path), ("kind", "value"), path)
+    kind = choice(_REGULARIZERS)(value.get("kind", "none"), f"{path}.kind")
+    return kind and kind(parse(value, {"kind": TEXT, "value": FLOAT},
+                               path)["value"])
 
 
 # Every config key and its parser.  The progression and train keys are the
 # ProgressionConfig and TrainSpec fields of the same name.
 _SCHEMA = {
-    "variant": _typed(lambda v: v in VARIANTS, f"one of {VARIANTS}"),
-    "seed": _SEED,
-    "out_dir": _TEXT,
-    "dataset": {"path": _TEXT, "header": _BOOL, "standardize_features": _BOOL,
-                "label_column": _typed(lambda v: isinstance(v, str)
-                                       or _is_int(v), "a name or an index")},
-    "split": {**{name: _FRACTION for name in SPLIT_NAMES}, "stratified": _BOOL},
-    "progression": {"n_min": _INT, "n_i": _INT, "max_layer_width": _INT,
-                    "eps_n": _FLOAT, "eps_l": _FLOAT,
-                    "rate_metric": _choice(_RATE_METRICS),
-                    "c_grid": _list_of(_FLOAT), "max_layers": _INT},
-    "train": {"lr_schedule": _list_of(_lr_stage), "batch_size": _INT,
-              "dropout_hidden": _FLOAT, "dropout_input": _FLOAT,
-              "weight_reg": _weight_reg,
-              "loss": _choice({kind.value: kind for kind in LossKind})},
-    "pop": {"template": _list_of(_POSITIVE_INT, non_empty=True),
-            "target_mse": _FLOAT, "epochs": _POSITIVE_INT},
+    "variant": typed(lambda v: v in VARIANTS, f"one of {VARIANTS}"),
+    "seed": SEED,
+    "out_dir": TEXT,
+    "dataset": {"path": TEXT, "header": BOOL, "standardize_features": BOOL,
+                "label_column": typed(lambda v: isinstance(v, str)
+                                      or is_int(v), "a name or an index")},
+    "split": {**{name: FRACTION for name in SPLIT_NAMES}, "stratified": BOOL},
+    "progression": {"n_min": INT, "n_i": INT, "max_layer_width": INT,
+                    "eps_n": FLOAT, "eps_l": FLOAT,
+                    "rate_metric": choice(_RATE_METRICS),
+                    "c_grid": list_of(FLOAT), "max_layers": INT},
+    "train": {"lr_schedule": list_of(_lr_stage), "batch_size": INT,
+              "dropout_hidden": FLOAT, "dropout_input": FLOAT,
+              "weight_reg": nullable(_weight_reg), "loss": choice(LossKind)},
+    "pop": {"template": list_of(POSITIVE_INT, non_empty=True),
+            "target_mse": FLOAT, "epochs": POSITIVE_INT},
 }
 
 # JSON form of the dataclass defaults that are not JSON values already.
@@ -162,27 +121,6 @@ DEFAULT_CONFIG = {
 }
 
 
-def _known_keys(value: dict, keys, path: str) -> None:
-    prefix = f"{path}." if path else ""
-    for key in value:
-        if key not in keys:
-            raise ConfigError(f"{prefix}{key}: unknown key")
-
-
-def _parse(value, schema, path: str):
-    """``value`` parsed by ``schema``: a parser, or a dict of schemas whose
-    keys ``value`` must hold, and no others."""
-    if callable(schema):
-        return schema(value, path)
-    _known_keys(_OBJECT(value, path), schema, path)
-    prefix = f"{path}." if path else ""
-    for key in schema:
-        if key not in value:
-            raise ConfigError(f"{prefix}{key}: missing")
-    return {key: _parse(value[key], sub, prefix + key)
-            for key, sub in schema.items()}
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """A parsed run config; ``raw`` is what config.json records."""
@@ -201,7 +139,7 @@ class RunConfig:
 def parse_run_config(cfg: dict) -> RunConfig:
     """Check every key of a merged run config; the dataset loader checks
     that the file exists and the split fractions sum to 1."""
-    s = _parse(cfg, _SCHEMA, "")
+    s = parse(cfg, _SCHEMA, "")
     train = TrainSpec(**s["train"], seed=s["seed"])
     train.validate()
     progression = None
@@ -225,13 +163,7 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_run_config(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    user = read_json(path, ConfigError, f"config file {path}")
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     return _merge(DEFAULT_CONFIG, user)
@@ -246,7 +178,7 @@ def apply_overrides(cfg: dict, assignments) -> dict:
         key, value = assignment.split("=", 1)
         try:
             parsed = json.loads(value)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON, or past its limits
             parsed = value
         node = cfg
         parts = key.split(".")
@@ -352,7 +284,7 @@ def cmd_train(args) -> int:
     run = parse_run_config(apply_overrides(cfg, args.set))
     seeds = [run.seed]
     if args.seeds is not None:
-        seeds = [_SEED(s, "--seeds") for s in _int_list("--seeds", args.seeds)]
+        seeds = [SEED(s, "--seeds") for s in _int_list("--seeds", args.seeds)]
         if not seeds:
             raise ConfigError("--seeds: name at least one seed")
         if len(set(seeds)) < len(seeds):
@@ -437,13 +369,8 @@ def _label_col(args):
 
 
 def load_report(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"report file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"report: invalid JSON ({exc})") from None
+    """The report document; it has no schema, and unprinted fields go unread."""
+    doc = read_json(path, FormatError, "report")
     if not isinstance(doc, dict) or "final_metrics" not in doc:
         raise FormatError("report: missing final_metrics")
     return doc

@@ -76,8 +76,10 @@ def load_csv(path: str, label_column="label", header: bool = True) -> Dataset:
     Labels are mapped to 0..C-1 in first-appearance order.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [row for row in rows if row]
+        try:
+            rows = [row for row in csv.reader(fh) if row]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise ParseError(f"{path}: file contains no data rows")
     width = len(rows[0])

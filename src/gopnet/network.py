@@ -16,7 +16,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, FormatError, UnfitNormalization
-from .operators import STD_FLOOR, OperatorSet, PoolOp, neuron_flops
+from .operators import (STD_FLOOR, ActivationOp, NodalOp, OperatorSet,
+                        PoolOp, neuron_flops)
+from .schema import (INT, array, build, choice, is_int, list_of, nullable,
+                     parse_json, read_json, typed)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -202,6 +205,7 @@ class GopLayer:
     norm: NormState = field(default_factory=NormState)
 
     def __post_init__(self):
+        self.blocks = list(self.blocks)
         if not self.blocks:
             raise ConfigError("a layer needs at least one block")
         fan_in = self.blocks[0].fan_in
@@ -245,6 +249,7 @@ class GopNetwork:
     def __post_init__(self):
         if not self.hidden:
             raise ConfigError("a network needs at least one hidden layer")
+        self.hidden = list(self.hidden)
         self.output_weights = np.asarray(self.output_weights, dtype=float)
         self.output_bias = np.asarray(self.output_bias, dtype=float)
         fan_in = self.input_dim
@@ -338,118 +343,67 @@ class GopNetwork:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "GopNetwork":
-        if not isinstance(doc, dict):
-            raise FormatError("document: expected an object")
-        version = doc.get("version")
-        if version != MODEL_FORMAT_VERSION:
-            raise FormatError(
-                f"version: expected {MODEL_FORMAT_VERSION}, got {version!r}")
-        input_dim = _expect_int(doc, "input_dim", "input_dim")
-        n_classes = _expect_int(doc, "C", "C")
-        layers_doc = doc.get("layers")
-        if not isinstance(layers_doc, list) or not layers_doc:
-            raise FormatError("layers: expected a non-empty list")
-        layers = []
-        for i, layer_doc in enumerate(layers_doc):
-            path = f"layers[{i}]"
-            blocks_doc = _expect_key(layer_doc, "blocks", path)
-            if not isinstance(blocks_doc, list) or not blocks_doc:
-                raise FormatError(f"{path}.blocks: expected a non-empty list")
-            blocks = []
-            for j, block_doc in enumerate(blocks_doc):
-                bpath = f"{path}.blocks[{j}]"
-                op_set = OperatorSet.from_tokens(
-                    _expect_key(block_doc, "op_set", bpath), f"{bpath}.op_set")
-                weights = _expect_matrix(block_doc, "weights", bpath)
-                bias = _expect_vector(block_doc, "bias", bpath)
-                try:
-                    blocks.append(NeuronBlock(op_set, weights, bias))
-                except ConfigError as exc:
-                    raise FormatError(f"{bpath}: {exc}") from None
-            norm_doc = _expect_key(layer_doc, "norm", path)
-            npath = f"{path}.norm"
-            mode_token = _expect_key(norm_doc, "mode", npath)
-            try:
-                mode = NormMode(mode_token)
-            except ValueError:
-                raise FormatError(f"{npath}.mode: unknown mode {mode_token!r}") from None
-            norm = NormState(mode=mode)
-            if norm_doc.get("mean") is not None:
-                norm.mean = _expect_vector(norm_doc, "mean", npath)
-                norm.std = _expect_vector(norm_doc, "std", npath)
-                norm.scale = _expect_vector(norm_doc, "scale", npath)
-                norm.shift = _expect_vector(norm_doc, "shift", npath)
-                width = sum(b.width for b in blocks)
-                for name in ("mean", "std", "scale", "shift"):
-                    if getattr(norm, name).shape[0] != width:
-                        raise FormatError(
-                            f"{npath}.{name}: expected {width} entries")
-                if (norm.std <= 0).any():
-                    raise FormatError(f"{npath}.std: entries must be positive")
-            try:
-                layers.append(GopLayer(blocks, norm))
-            except ConfigError as exc:
-                raise FormatError(f"{path}: {exc}") from None
-        out_doc = _expect_key(doc, "output", "document")
-        out_w = _expect_matrix(out_doc, "weights", "output")
-        out_b = _expect_vector(out_doc, "bias", "output")
-        if out_b.shape[0] != n_classes:
-            raise FormatError("output.bias: length must equal C")
+    def from_dict(cls, doc) -> "GopNetwork":
+        """The network of a model document; FormatError names a bad field."""
         try:
-            return cls(input_dim, layers, out_w, out_b)
+            return _MODEL(doc, "")
         except ConfigError as exc:
-            raise FormatError(f"document: {exc}") from None
+            raise FormatError(str(exc)) from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "GopNetwork":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"document: invalid JSON ({exc})") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(parse_json(text, FormatError, "document"))
 
 
 def _opt_list(arr):
     return None if arr is None else arr.tolist()
 
 
-def _expect_key(doc, key, parent_path):
-    if not isinstance(doc, dict) or key not in doc:
-        raise FormatError(f"{parent_path}.{key}: missing field")
-    return doc[key]
+# The model document's schema: each object parses to its class's constructor,
+# whose checks then run.  Checks across fields are by hand: norm statistics
+# all null or none, their widths, positive std, the output bias against C.
+OP_SET_SCHEMA = build(OperatorSet, {"nodal": choice(NodalOp),
+                                    "pool": choice(PoolOp),
+                                    "activation": choice(ActivationOp)})
+_STATS = ("mean", "std", "scale", "shift")
+_LAYER = build(GopLayer, {
+    "blocks": list_of(build(NeuronBlock, {"op_set": OP_SET_SCHEMA,
+                                          "weights": array(2),
+                                          "bias": array(1)}), non_empty=True),
+    "norm": build(NormState, {"mode": choice(NormMode),
+                              **dict.fromkeys(_STATS, nullable(array(1)))})})
 
 
-def _expect_int(doc, key, field_path):
-    if not isinstance(doc, dict) or key not in doc:
-        raise FormatError(f"{field_path}: missing field")
-    value = doc[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"{field_path}: expected an integer")
-    return value
+def _layer(value, path: str) -> GopLayer:
+    layer = _LAYER(value, path)
+    for name in _STATS:
+        stat = getattr(layer.norm, name)
+        if (stat is None) == layer.norm.fitted:
+            raise ConfigError(f"{path}.norm.{name}: must be null iff mean is")
+        if stat is not None and len(stat) != layer.width:
+            raise ConfigError(f"{path}.norm.{name}: expected {layer.width} entries")
+    if layer.norm.fitted and (layer.norm.std <= 0).any():
+        raise ConfigError(f"{path}.norm.std: entries must be positive")
+    return layer
 
 
-def _as_float_array(value, path, ndim):
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise FormatError(f"{path}: expected numeric array") from None
-    if arr.ndim != ndim:
-        raise FormatError(f"{path}: expected {ndim}-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise FormatError(f"{path}: non-finite values")
-    return arr
+def _network(version, input_dim, C, layers, output) -> GopNetwork:
+    if output["bias"].shape[0] != C:
+        raise ConfigError("output.bias: length must equal C")
+    return GopNetwork(input_dim, layers, output["weights"], output["bias"])
 
 
-def _expect_matrix(doc, key, path):
-    return _as_float_array(_expect_key(doc, key, path), f"{path}.{key}", 2)
-
-
-def _expect_vector(doc, key, path):
-    return _as_float_array(_expect_key(doc, key, path), f"{path}.{key}", 1)
+_MODEL = build(_network, {
+    "version": typed(lambda v: is_int(v) and v == MODEL_FORMAT_VERSION,
+                     str(MODEL_FORMAT_VERSION)),
+    "input_dim": INT,
+    "C": INT,
+    "layers": list_of(_layer, non_empty=True),
+    "output": {"weights": array(2), "bias": array(1)},
+})
 
 
 def save_model(net: GopNetwork, path: str) -> None:
@@ -458,8 +412,7 @@ def save_model(net: GopNetwork, path: str) -> None:
 
 
 def load_model(path: str) -> GopNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        return GopNetwork.from_json(fh.read())
+    return GopNetwork.from_dict(read_json(path, FormatError, "document"))
 
 
 def _atomic_write_text(path: str, text: str) -> None:

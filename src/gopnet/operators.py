@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyInput, FormatError
+from .errors import EmptyInput
 
 # Exponential nodal saturates its argument here to keep candidate
 # evaluation finite; gradients are zero in the saturated region.
@@ -105,20 +105,6 @@ class OperatorSet:
             "pool": self.pool.value,
             "activation": self.activation.value,
         }
-
-    @classmethod
-    def from_tokens(cls, tokens: dict, path: str = "op_set") -> "OperatorSet":
-        kinds = (("nodal", NodalOp), ("pool", PoolOp), ("activation", ActivationOp))
-        parts = []
-        for key, enum_cls in kinds:
-            if key not in tokens:
-                raise FormatError(f"{path}.{key}: missing operator token")
-            token = tokens[key]
-            try:
-                parts.append(enum_cls(token))
-            except ValueError:
-                raise FormatError(f"{path}.{key}: unknown operator token {token!r}") from None
-        return cls(*parts)
 
     def __str__(self) -> str:
         return f"({self.nodal.value}, {self.pool.value}, {self.activation.value})"

@@ -454,6 +454,18 @@ class TestDegenerateCsvs:
             assert ((root / "a" / name).read_bytes()
                     == (root / "b" / name).read_bytes()), name
 
+    def test_non_utf8_csv_exits_2_naming_the_file(self, tmp_path, capsys):
+        (tmp_path / "data.csv").write_bytes(b"x0,label\n1.0,c\xe9\n2.0,c0\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            **TINY_RUN, "dataset": {"path": str(tmp_path / "data.csv")}}))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: dataset.path: {tmp_path / 'data.csv'}: "
+                       "not UTF-8 text (invalid continuation byte)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("variant", ["homlrn", "hemlrn"])
     def test_failed_later_step_keeps_the_grown_network(self, tmp_path,
                                                        capsys, variant):
@@ -739,6 +751,38 @@ class TestReportCommand:
         assert main(["report", "--report", str(path)]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: report: ")
+
+
+UNREADABLE_JSON = {"non-utf8": b'{"seed": "\xe9"}', "nested": b"[" * 100_000,
+                   "5000-digits": b'{"seed": ' + b"1" * 5000 + b"}"}
+
+
+class TestUnreadableJson:
+    @pytest.mark.parametrize("name", UNREADABLE_JSON)
+    @pytest.mark.parametrize("args, code", [
+        (["train", "--config"], 2), (["eval", "--model"], 3),
+        (["flops", "--model"], 3), (["report", "--report"], 3)],
+        ids=["train", "eval", "flops", "report"])
+    def test_exits_2_or_3_with_one_error_line(self, tmp_path, capsys,
+                                              moons_csv, name, args, code):
+        path = tmp_path / "doc.json"
+        path.write_bytes(UNREADABLE_JSON[name])
+        extra = ["--data", moons_csv] if args[0] == "eval" else []
+        assert main(args + [str(path)] + extra) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert (len(captured.err.splitlines()) == 1
+                and captured.err.startswith("error: "))
+
+    @pytest.mark.parametrize("value", ["1" * 5000, "[" * 100_000],
+                             ids=["5000-digits", "nested"])
+    def test_set_value_past_the_json_limits_exits_2_naming_the_key(
+            self, tmp_path, run_config, capsys, value):
+        out = str(tmp_path / "out")
+        assert main(fast_train_args(run_config, out,
+                                    ["--set", f"seed={value}"])) == 2
+        assert capsys.readouterr().err.startswith("error: seed: expected")
+        assert not os.path.exists(out)
 
 
 class TestModelCommands:

@@ -1,9 +1,11 @@
+import copy
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -57,6 +59,43 @@ def random_network(rng, input_dim=3, widths=(6, 4), n_classes=2):
         fan_in = width
     return GopNetwork(input_dim, layers, rng.normal(size=(fan_in, n_classes)),
                       rng.normal(size=n_classes))
+
+
+MISSING = object()  # a node deleted rather than replaced
+
+
+def replaced(doc, node, value):
+    """A copy of ``doc`` whose node at the key path ``node`` is ``value``."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in node[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[node[-1]]
+    else:
+        parent[node[-1]] = copy.deepcopy(value)
+    return doc
+
+
+def nodes(value, node=()):
+    """(key path, value) of every node below the root of a JSON document."""
+    keys = (value.keys() if isinstance(value, dict)
+            else range(len(value)) if isinstance(value, list) else ())
+    return [item for key in keys for item in
+            [(node + (key,), value[key])] + nodes(value[key], node + (key,))]
+
+
+MODEL_DOC = random_network(np.random.default_rng(0)).to_dict()
+# Any JSON value, one at the numeric limits, or a node of the document
+# itself (an array of another shape, an object of another kind).
+MODEL_VALUES = st.just(MISSING) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=3)
+    | st.sampled_from([10 ** 400, -(10 ** 400), 1.7976931348623157e308, 0, -1])
+    | st.sampled_from([value for _, value in nodes(MODEL_DOC)]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
 
 
 class TestBlockForward:
@@ -395,6 +434,47 @@ class TestSerialization:
         doc["output"]["weights"][0][0] = float("nan")
         with pytest.raises(FormatError):
             GopNetwork.from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("node, value, path", [
+        (("layers", 0, "blocks", 0, "op_set"), ["nodal"],
+         "layers[0].blocks[0].op_set"),
+        (("layers", 0, "blocks", 0, "weights", 0, 0), 10 ** 400,
+         "layers[0].blocks[0].weights"),
+        (("layers", 1, "blocks", 0, "weights", 1, 2), "1.5",
+         "layers[1].blocks[0].weights"),
+        (("layers", 0, "blocks", 0, "bias", 0), True,
+         "layers[0].blocks[0].bias"),
+        (("version",), True, "version"),
+        (("version",), 1.0, "version"),
+        (("frobnicate",), 1, "frobnicate"),
+        (("layers", 1, "norm", "epsilon"), 1e-5, "layers[1].norm.epsilon"),
+        (("layers", 0, "norm", "std"), None, "layers[0].norm.std"),
+        (("layers", 1, "norm", "mean"), None, "layers[1].norm.std"),
+        (("layers", 0, "norm", "mean"), MISSING, "layers[0].norm.mean"),
+    ], ids=["op-set-list", "401-digit-weight", "string-weight", "bool-bias",
+            "version-true", "version-float", "unknown-key",
+            "unknown-nested-key", "std-null", "mean-null", "mean-missing"])
+    def test_reader_refuses_naming_the_path(self, rng, node, value, path):
+        doc = replaced(random_network(rng).to_dict(), node, value)
+        with pytest.raises(FormatError, match=re.escape(path) + ":"):
+            GopNetwork.from_dict(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(node=st.sampled_from([node for node, _ in nodes(MODEL_DOC)]),
+           value=MODEL_VALUES)
+    @example(node=("layers", 0, "norm", "mean"), value=MISSING)
+    @example(node=("layers", 1, "blocks", 0, "weights"), value=[[1.0]])
+    @example(node=("C",), value=3)
+    def test_any_one_node_replaced_loads_or_raises_format_error(self, node,
+                                                                value):
+        """The document as written loads; with one node replaced it loads
+        or raises FormatError, and nothing else."""
+        assert GopNetwork.from_dict(MODEL_DOC).to_dict() == MODEL_DOC
+        try:
+            net = GopNetwork.from_dict(replaced(MODEL_DOC, node, value))
+        except FormatError:
+            return
+        assert isinstance(net, GopNetwork)
 
     @given(st.integers(1, 5),
            st.lists(st.integers(1, 5), min_size=1, max_size=3),

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gopnet.errors import EmptyInput
-from gopnet.network import NeuronBlock
+from gopnet.network import OP_SET_SCHEMA, NeuronBlock
 from gopnet.operators import (
     _ACTIVATION,
     EXP_CLAMP,
@@ -252,7 +252,7 @@ class TestOperatorSets:
 
     def test_tokens_round_trip(self):
         for s in enumerate_operator_sets():
-            assert OperatorSet.from_tokens(s.tokens()) == s
+            assert OP_SET_SCHEMA(s.tokens(), "op_set") == s
 
 
 class TestPerceptronSpecialCase:
